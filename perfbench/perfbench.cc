@@ -411,12 +411,17 @@ runPoint(const PointRef &p, long id, bool traced,
     return pr;
 }
 
+/** Direct mode: every this-many-th point gets a traced twin, which
+ *  keeps a traced run within about 1.5 untraced passes. */
+constexpr std::size_t tracedStride = 4;
+
 /**
  * Direct mode: one pass over the points, re-parsing the specs (a
  * set-up sample) and running every point on this thread. Passes after
  * the first stop at the deadline; points in `skip` do not run. With
- * `paired`, every point runs twice in a row, untraced and then traced,
- * so the tracing overhead compares the same work.
+ * `paired`, every tracedStride-th point runs a second time right after
+ * its untraced run, traced, so the tracing overhead compares the same
+ * work.
  */
 Run
 runDirect(const std::vector<std::string> &paths,
@@ -445,7 +450,7 @@ runDirect(const std::vector<std::string> &paths,
         std::cerr << "perfbench: point " << id << std::endl;
         run.points.push_back(
             runPoint(plan.points[id], long(id), false, results));
-        if (paired)
+        if (paired && id % tracedStride == 0)
             run.points.push_back(
                 runPoint(plan.points[id], long(id), true, results));
     }

@@ -187,14 +187,16 @@ def per_point_median(runs, field):
     return {k: median(v) for k, v in values.items()}
 
 
-def throughput(doc, traced):
-    """(sim_mcps, sim_mips, wall_s) over the runs with this traced flag.
+def throughput(doc, traced, ids=None):
+    """(sim_mcps, sim_mips, wall_s) over the runs with this traced flag
+    (direct mode: of the points in `ids` when given).
 
     direct: per point, the median over its runs of warmup+measure
     thread CPU and wall time, summed over points; sweep: per
     iteration, cold plus warm pass on the process CPU clock; medians
     over iterations."""
-    runs = point_runs(doc, traced)
+    runs = [p for p in point_runs(doc, traced)
+            if ids is None or p["id"] in ids]
     if runs:
         cycles = {p["id"]: p["cycles"] for p in runs}
         insts = {p["id"]: p["committed"] for p in runs}
@@ -387,7 +389,8 @@ def per_layer(doc):
                                              lambda s: 1)
         m["sim.restored_runs"] = per_iteration(
             timed, "sim.checkpoint_restore", lambda s: 1)
-    plain, _, _ = throughput(doc, traced=False)
+    twins = {p["id"] for p in point_runs(doc, True)} or None
+    plain, _, _ = throughput(doc, traced=False, ids=twins)
     traced, _, _ = throughput(doc, traced=True)
     m["trace.overhead_pct"] = 100.0 * (plain / traced - 1.0)
     return m, span_stats(spans)

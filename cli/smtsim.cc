@@ -6,15 +6,15 @@
  * host threads and writes the BENCH_<name>.json record the bench
  * binaries emit for the same spec.
  *
+ * With --checkpoint-dir a sweep is resumable: every finished point
+ * is journaled in the directory, and a re-run of the same spec skips
+ * the journaled points and restores the persisted warmup snapshots.
+ *
  * Usage: smtsim [options] <spec.json | spec-name> ...
- *        smtsim serve [options]   (long-running sweep daemon)
- *        smtsim sweep [options] <spec> (distributed resumable sweep)
- *        smtsim worker [options]  (one sweep worker process)
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -22,10 +22,8 @@
 #include <vector>
 
 #include "bpred/engine_registry.hh"
-#include "serve/distributed.hh"
-#include "serve/server.hh"
-#include "serve/worker.hh"
 #include "sim/checkpoint.hh"
+#include "sim/journal.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep_spec.hh"
 #include "util/logging.hh"
@@ -51,6 +49,7 @@ struct Options
     std::string restoreCheckpointPath;
     bool checkpointWarmup = false;
     std::string checkpointDir;
+    bool fresh = false;
     bool noCycleSkip = false;
     std::optional<Cycle> warmup;
     std::optional<Cycle> measure;
@@ -64,15 +63,9 @@ usage(std::FILE *out)
     std::fprintf(
         out,
         "usage: smtsim [options] <spec.json | spec-name> ...\n"
-        "       smtsim serve [options]\n"
-        "       smtsim sweep [options] <spec> ...\n"
-        "       smtsim worker [options]\n"
         "\n"
         "Runs JSON experiment specs (see configs/) through the\n"
         "simulator and writes BENCH_<name>.json records.\n"
-        "(`smtsim serve --help` describes the sweep daemon;\n"
-        "`smtsim sweep --help` the distributed, resumable sweep\n"
-        "runner and its `worker` processes.)\n"
         "\n"
         "A bare spec name (no '/' and no '.json') is resolved\n"
         "against $SMTFETCH_CONFIG_DIR or the build-time configs/\n"
@@ -115,7 +108,13 @@ usage(std::FILE *out)
         "  --checkpoint-dir DIR\n"
         "                 persist warmup snapshots in DIR and reuse\n"
         "                 them across sweeps (implies\n"
-        "                 --checkpoint-warmup)\n"
+        "                 --checkpoint-warmup); also journal every\n"
+        "                 finished point to DIR/journal_<bench>.jsonl\n"
+        "                 so a killed sweep resumes where it stopped\n"
+        "                 (also enabled by the spec key\n"
+        "                 \"checkpointDir\")\n"
+        "  --fresh        discard an existing journal instead of\n"
+        "                 resuming from it (snapshots are kept)\n"
         "  --no-cycle-skip\n"
         "                 tick every cycle instead of fast-\n"
         "                 forwarding over quiescent spans (debug\n"
@@ -330,7 +329,19 @@ runOne(const Options &opt, const std::string &arg)
     if (!request.checkpointDir.empty())
         ensureWritableDir(request.checkpointDir);
 
-    SweepReport report = ExperimentRunner().run(request);
+    if (opt.fresh && request.checkpointDir.empty()) {
+        std::fprintf(stderr,
+                     "smtsim: --fresh discards a resume journal, but "
+                     "\"%s\" has no checkpoint directory — add "
+                     "--checkpoint-dir DIR\n",
+                     spec.name.c_str());
+        return 1;
+    }
+
+    SweepReport report =
+        request.checkpointDir.empty()
+            ? ExperimentRunner().run(request)
+            : runJournaled(request, spec.benchName(), opt.fresh);
     const auto &results = report.results;
     const auto &points_run = request.points;
     if (!opt.recordPath.empty() && !opt.quiet) {
@@ -370,17 +381,6 @@ runOne(const Options &opt, const std::string &arg)
 int
 main(int argc, char **argv)
 {
-    // `smtsim serve ...` is a subcommand with its own flags: a
-    // long-running daemon accepting the same spec documents over
-    // HTTP (see src/serve/). `sweep` runs one spec across spawned
-    // `worker` processes with journaled resume support.
-    if (argc > 1 && std::strcmp(argv[1], "serve") == 0)
-        return serveMain(argc - 2, argv + 2);
-    if (argc > 1 && std::strcmp(argv[1], "sweep") == 0)
-        return sweepMain(argc - 2, argv + 2, argv[0]);
-    if (argc > 1 && std::strcmp(argv[1], "worker") == 0)
-        return workerMain(argc - 2, argv + 2);
-
     Options opt;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -426,6 +426,8 @@ main(int argc, char **argv)
             opt.checkpointWarmup = true;
         } else if (arg == "--checkpoint-dir") {
             opt.checkpointDir = next();
+        } else if (arg == "--fresh") {
+            opt.fresh = true;
         } else if (arg == "--no-cycle-skip") {
             opt.noCycleSkip = true;
         } else if (!arg.empty() && arg[0] == '-') {
@@ -501,6 +503,9 @@ main(int argc, char **argv)
             std::fprintf(stderr, "smtsim: %s\n", e.what());
             return 2;
         } catch (const CheckpointError &e) {
+            std::fprintf(stderr, "smtsim: %s\n", e.what());
+            return 2;
+        } catch (const JournalError &e) {
             std::fprintf(stderr, "smtsim: %s\n", e.what());
             return 2;
         } catch (const std::invalid_argument &e) {

@@ -1,6 +1,7 @@
 #include "bpred/fetch_engine.hh"
 
 #include "bpred/engine_registry.hh"
+#include "bpred/tage.hh"
 #include "sim/checkpoint.hh"
 #include "util/logging.hh"
 #include "util/stats_registry.hh"
@@ -316,18 +317,42 @@ FetchEngine::capFormationStart(Addr &start, Addr cti_pc, unsigned cap)
 }
 
 // ---------------------------------------------------------------------
-// gshare + BTB
+// Line-oriented engines: BTB + a direction predictor
 // ---------------------------------------------------------------------
 
-BtbFetchEngine::BtbFetchEngine(const EngineParams &p)
-    : FetchEngine(p, EngineKind::GshareBtb),
-      gshare(p.gshareEntries, p.gshareHistoryBits),
+namespace
+{
+
+/** Each direction predictor's sizing from EngineParams. */
+template <class Direction> Direction makeDirection(const EngineParams &p);
+
+template <>
+GsharePredictor
+makeDirection(const EngineParams &p)
+{
+    return GsharePredictor(p.gshareEntries, p.gshareHistoryBits);
+}
+
+template <>
+TagePredictor
+makeDirection(const EngineParams &p)
+{
+    return TagePredictor(p);
+}
+
+} // namespace
+
+template <class Direction>
+LineFetchEngine<Direction>::LineFetchEngine(const EngineParams &p,
+                                            EngineKind kind)
+    : FetchEngine(p, kind), direction(makeDirection<Direction>(p)),
       btb(p.btbEntries, p.btbWays)
 {
 }
 
+template <class Direction>
 BlockPrediction
-BtbFetchEngine::predictBlock(ThreadID tid, Addr pc)
+LineFetchEngine<Direction>::predictBlock(ThreadID tid, Addr pc)
 {
     ++engineStats.blockPredictions;
     const StaticProgram *prog = programs[tid];
@@ -370,8 +395,8 @@ BtbFetchEngine::predictBlock(ThreadID tid, Addr pc)
     switch (cti->op) {
       case OpClass::CondBranch: {
         ++engineStats.condPredictions;
-        bool dir = gshare.predict(cti->pc, history[tid].value());
-        b.lowConfidence = gshare.weak(cti->pc, history[tid].value());
+        bool dir = direction.predict(cti->pc, history[tid].value());
+        b.lowConfidence = direction.weak(cti->pc, history[tid].value());
         history[tid].shift(dir);
         if (dir && entry != nullptr) {
             b.predTaken = true;
@@ -414,16 +439,18 @@ BtbFetchEngine::predictBlock(ThreadID tid, Addr pc)
     return b;
 }
 
+template <class Direction>
 void
-BtbFetchEngine::commitCti(ThreadID tid, const StaticInst &si, bool taken,
-                          Addr actual_target, bool was_block_end,
-                          bool was_mispredicted,
-                          std::uint64_t pred_ghist)
+LineFetchEngine<Direction>::commitCti(ThreadID tid, const StaticInst &si,
+                                      bool taken, Addr actual_target,
+                                      bool was_block_end,
+                                      bool was_mispredicted,
+                                      std::uint64_t pred_ghist)
 {
     (void)tid;
     (void)was_mispredicted;
     if (si.isConditional() && was_block_end)
-        gshare.update(si.pc, pred_ghist, taken);
+        direction.update(si.pc, pred_ghist, taken);
     // Classic allocation policy: install targets of taken CTIs.
     // Returns are covered by the RAS.
     if (taken && !si.isReturn())
@@ -432,29 +459,35 @@ BtbFetchEngine::commitCti(ThreadID tid, const StaticInst &si, bool taken,
         ++engineStats.streamsFormed;
 }
 
+template <class Direction>
 void
-BtbFetchEngine::reset()
+LineFetchEngine<Direction>::reset()
 {
     FetchEngine::reset();
-    gshare.reset();
+    direction.reset();
     btb.reset();
 }
 
+template <class Direction>
 void
-BtbFetchEngine::save(CheckpointWriter &w) const
+LineFetchEngine<Direction>::save(CheckpointWriter &w) const
 {
     FetchEngine::save(w);
-    gshare.save(w);
+    direction.save(w);
     btb.save(w);
 }
 
+template <class Direction>
 void
-BtbFetchEngine::restore(CheckpointReader &r)
+LineFetchEngine<Direction>::restore(CheckpointReader &r)
 {
     FetchEngine::restore(r);
-    gshare.restore(r);
+    direction.restore(r);
     btb.restore(r);
 }
+
+template class LineFetchEngine<GsharePredictor>;
+template class LineFetchEngine<TagePredictor>;
 
 // ---------------------------------------------------------------------
 // gskew + FTB
@@ -788,7 +821,7 @@ registerPaperEngines(EngineRegistry &reg)
         d.aliases = {"gshare"};
         d.factory = [](const EngineParams &p) {
             return std::unique_ptr<FetchEngine>(
-                std::make_unique<BtbFetchEngine>(p));
+                std::make_unique<BtbFetchEngine>(p, EngineKind::GshareBtb));
         };
         d.params = lineEngineParams();
         reg.add(std::move(d));
@@ -886,7 +919,7 @@ registerPresetEngines(EngineRegistry &reg)
         d.aliases = {"perfectbp", "oracle-bp"};
         d.factory = [](const EngineParams &p) {
             return std::unique_ptr<FetchEngine>(
-                std::make_unique<BtbFetchEngine>(p));
+                std::make_unique<BtbFetchEngine>(p, EngineKind::GshareBtb));
         };
         d.preset = [](EngineParams &p) { p.perfectBp = true; };
         d.params = [] {
@@ -910,7 +943,7 @@ registerPresetEngines(EngineRegistry &reg)
         d.aliases = {"perfecticache", "perfect-icache", "oracle-l1i"};
         d.factory = [](const EngineParams &p) {
             return std::unique_ptr<FetchEngine>(
-                std::make_unique<BtbFetchEngine>(p));
+                std::make_unique<BtbFetchEngine>(p, EngineKind::GshareBtb));
         };
         d.preset = [](EngineParams &p) { p.perfectIcache = true; };
         d.params = [] {
@@ -934,7 +967,7 @@ registerPresetEngines(EngineRegistry &reg)
         d.aliases = {"adaptive-rate", "adaptivefetch"};
         d.factory = [](const EngineParams &p) {
             return std::unique_ptr<FetchEngine>(
-                std::make_unique<BtbFetchEngine>(p));
+                std::make_unique<BtbFetchEngine>(p, EngineKind::GshareBtb));
         };
         d.preset = [](EngineParams &p) { p.adaptiveFetch = true; };
         d.params = [] {

@@ -15,8 +15,9 @@
  *  - StreamFetchEngine ("stream"): the cascaded stream predictor names
  *    whole instruction streams (taken-branch target to next taken
  *    branch) in one prediction.
- *  - TageFetchEngine   ("tage", bpred/tage.hh): the gshare+BTB fetch
- *    unit with the gshare table replaced by a TAGE predictor.
+ *  - TageFetchEngine   ("tage", bpred/tage.hh): the same line-oriented
+ *    unit over a TAGE direction predictor (both are LineFetchEngine
+ *    instances, one per direction predictor).
  *  - "perfect-bp", "perfect-l1i", "adaptive": registry presets over
  *    the gshare+BTB unit that flip the EngineParams oracle/adaptive
  *    flags the front end honours (core/front_end.cc).
@@ -379,11 +380,19 @@ class FetchEngine
     EngineKind kindId;
 };
 
-/** Conventional gshare + BTB front-end. */
-class BtbFetchEngine : public FetchEngine
+/**
+ * Conventional line-oriented front-end: a predecode scan finds the
+ * first CTI after the fetch PC, a BTB supplies its target and
+ * `Direction` predicts conditionals. `Direction` is any predictor with
+ * predict/weak/update(pc, history) plus reset/save/restore (gshare,
+ * TAGE); it is a plain member, so the predict path makes no virtual
+ * call. Instantiated for each predictor in bpred/fetch_engine.cc.
+ */
+template <class Direction>
+class LineFetchEngine : public FetchEngine
 {
   public:
-    explicit BtbFetchEngine(const EngineParams &params);
+    LineFetchEngine(const EngineParams &params, EngineKind kind);
 
     BlockPrediction predictBlock(ThreadID tid, Addr pc) override;
     void commitCti(ThreadID tid, const StaticInst &si, bool taken,
@@ -394,13 +403,17 @@ class BtbFetchEngine : public FetchEngine
     void save(CheckpointWriter &w) const override;
     void restore(CheckpointReader &r) override;
 
-    GsharePredictor &directionPredictor() { return gshare; }
+    Direction &directionPredictor() { return direction; }
     Btb &targetBuffer() { return btb; }
 
   private:
-    GsharePredictor gshare;
+    Direction direction;
     Btb btb;
 };
+
+/** Conventional gshare + BTB front-end ("gshare+BTB"). */
+using BtbFetchEngine = LineFetchEngine<GsharePredictor>;
+extern template class LineFetchEngine<GsharePredictor>;
 
 /** gskew + FTB front-end. */
 class FtbFetchEngine : public FetchEngine

@@ -315,146 +315,6 @@ TagePredictor::restore(CheckpointReader &r)
 }
 
 // ---------------------------------------------------------------------
-// TAGE + BTB fetch engine
-// ---------------------------------------------------------------------
-
-TageFetchEngine::TageFetchEngine(const EngineParams &p)
-    : FetchEngine(p, EngineKind::Tage), tage(p),
-      btb(p.btbEntries, p.btbWays)
-{
-}
-
-BlockPrediction
-TageFetchEngine::predictBlock(ThreadID tid, Addr pc)
-{
-    ++engineStats.blockPredictions;
-    const StaticProgram *prog = programs[tid];
-
-    // Predecode scan: find the first CTI after pc (the single
-    // direction/target prediction this cycle applies to it).
-    const StaticInst *cti = nullptr;
-    unsigned len = 0;
-    for (unsigned i = 0; i < params.btbScanCap; ++i) {
-        const StaticInst *si =
-            prog ? prog->lookup(pc + static_cast<Addr>(i) * instBytes)
-                 : nullptr;
-        if (si == nullptr) {
-            // Unmapped (deep wrong path): fetch sequentially.
-            if (i == 0)
-                return sequentialBlock(tid, pc, params.missBlockInsts);
-            return sequentialBlock(tid, pc, i);
-        }
-        ++len;
-        if (si->isControl()) {
-            cti = si;
-            break;
-        }
-    }
-
-    if (cti == nullptr)
-        return sequentialBlock(tid, pc, len);
-
-    BlockPrediction b;
-    b.start = pc;
-    b.lengthInsts = len;
-    b.endsWithCti = true;
-    b.endType = cti->op;
-    b.ckpt = makeCheckpoint(tid, pc);
-
-    const BtbEntry *entry = btb.lookup(cti->pc);
-    if (entry != nullptr)
-        ++engineStats.tableHits;
-
-    switch (cti->op) {
-      case OpClass::CondBranch: {
-        ++engineStats.condPredictions;
-        bool dir = tage.predict(cti->pc, history[tid].value());
-        b.lowConfidence = tage.weak(cti->pc, history[tid].value());
-        history[tid].shift(dir);
-        if (dir && entry != nullptr) {
-            b.predTaken = true;
-            b.predTarget = entry->target;
-        } else {
-            // Not-taken prediction, or taken with no target available.
-            b.predTaken = false;
-        }
-        break;
-      }
-      case OpClass::Return: {
-        b.predTaken = true;
-        b.predTarget = ras[tid].pop();
-        ++engineStats.rasPops;
-        break;
-      }
-      case OpClass::CallDirect: {
-        if (entry != nullptr) {
-            b.predTaken = true;
-            b.predTarget = entry->target;
-            ras[tid].push(cti->nextPc());
-            ++engineStats.rasPushes;
-        }
-        break;
-      }
-      default: { // Jump, JumpIndirect
-        if (entry != nullptr) {
-            b.predTaken = true;
-            b.predTarget = entry->target;
-        }
-        break;
-      }
-    }
-
-    if (b.predTaken && b.predTarget == invalidAddr) {
-        // Cold RAS/table: no usable target; predict fall-through.
-        b.predTaken = false;
-    }
-    b.nextFetchPc = b.predTaken ? b.predTarget : b.fallThrough();
-    return b;
-}
-
-void
-TageFetchEngine::commitCti(ThreadID tid, const StaticInst &si,
-                           bool taken, Addr actual_target,
-                           bool was_block_end, bool was_mispredicted,
-                           std::uint64_t pred_ghist)
-{
-    (void)tid;
-    (void)was_mispredicted;
-    if (si.isConditional() && was_block_end)
-        tage.update(si.pc, pred_ghist, taken);
-    // Classic allocation policy: install targets of taken CTIs.
-    // Returns are covered by the RAS.
-    if (taken && !si.isReturn())
-        btb.update(si.pc, actual_target, si.op);
-    if (taken)
-        ++engineStats.streamsFormed;
-}
-
-void
-TageFetchEngine::reset()
-{
-    FetchEngine::reset();
-    tage.reset();
-    btb.reset();
-}
-
-void
-TageFetchEngine::save(CheckpointWriter &w) const
-{
-    FetchEngine::save(w);
-    tage.save(w);
-    btb.save(w);
-}
-
-void
-TageFetchEngine::restore(CheckpointReader &r)
-{
-    FetchEngine::restore(r);
-    tage.restore(r);
-    btb.restore(r);
-}
-
-// ---------------------------------------------------------------------
 // Registry binding
 // ---------------------------------------------------------------------
 
@@ -471,7 +331,7 @@ registerTageEngine(EngineRegistry &reg)
     d.checkpointTag = "engine.tage";
     d.factory = [](const EngineParams &p) {
         return std::unique_ptr<FetchEngine>(
-            std::make_unique<TageFetchEngine>(p));
+            std::make_unique<TageFetchEngine>(p, EngineKind::Tage));
     };
     d.params = {
         PSpec::uintSpec("tageBimodalEntries",

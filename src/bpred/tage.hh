@@ -13,10 +13,9 @@
  * register so it can ride the engines' existing checkpoint and squash
  * repair machinery unchanged.
  *
- * TageFetchEngine ("tage") is the conventional line-oriented
- * gshare+BTB fetch unit with the gshare table swapped for TAGE — the
- * registry's proof that a new direction predictor lands without
- * touching the sim/cli layers.
+ * TageFetchEngine ("tage") is the conventional line-oriented fetch
+ * unit (LineFetchEngine) over TAGE instead of gshare — a new direction
+ * predictor is one class plus one registry entry.
  */
 
 #ifndef SMTFETCH_BPRED_TAGE_HH
@@ -115,27 +114,8 @@ class TagePredictor
 };
 
 /** Line-oriented fetch unit: TAGE direction predictor over the BTB. */
-class TageFetchEngine : public FetchEngine
-{
-  public:
-    explicit TageFetchEngine(const EngineParams &params);
-
-    BlockPrediction predictBlock(ThreadID tid, Addr pc) override;
-    void commitCti(ThreadID tid, const StaticInst &si, bool taken,
-                   Addr actual_target, bool was_block_end,
-                   bool was_mispredicted,
-                   std::uint64_t pred_ghist) override;
-    void reset() override;
-    void save(CheckpointWriter &w) const override;
-    void restore(CheckpointReader &r) override;
-
-    TagePredictor &directionPredictor() { return tage; }
-    Btb &targetBuffer() { return btb; }
-
-  private:
-    TagePredictor tage;
-    Btb btb;
-};
+using TageFetchEngine = LineFetchEngine<TagePredictor>;
+extern template class LineFetchEngine<TagePredictor>;
 
 } // namespace smt
 

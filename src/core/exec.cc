@@ -11,12 +11,6 @@ ExecUnit::ExecUnit(const CoreParams &params, MemoryHierarchy &memory)
 {
 }
 
-void
-ExecUnit::schedule(Cycle when, ThreadID tid, InstSeqNum seq)
-{
-    wheel[when % wheelSize].emplace_back(tid, seq);
-}
-
 Cycle
 ExecUnit::issue(DynInst &inst, Cycle now)
 {
@@ -45,12 +39,13 @@ ExecUnit::issue(DynInst &inst, Cycle now)
 
     if (latency == 0)
         latency = 1;
-    if (latency >= wheelSize)
-        panic("latency %llu exceeds event wheel",
-              (unsigned long long)latency);
 
     inst.stage = InstStage::Issued;
-    schedule(now + latency, inst.tid, inst.seq);
+    if (latency < wheelSize)
+        wheel[(now + latency) % wheelSize].emplace_back(inst.tid,
+                                                        inst.seq);
+    else
+        overflow[now + latency].emplace_back(inst.tid, inst.seq);
     return latency;
 }
 
@@ -59,17 +54,30 @@ ExecUnit::completionsAt(
     Cycle now, std::vector<std::pair<ThreadID, InstSeqNum>> &out)
 {
     auto &slot = wheel[now % wheelSize];
-    out.assign(slot.begin(), slot.end());
+    if (!overflow.empty() && overflow.begin()->first == now) {
+        auto first = overflow.begin();
+        out.assign(first->second.begin(), first->second.end());
+        overflow.erase(first);
+        out.insert(out.end(), slot.begin(), slot.end());
+    } else {
+        out.assign(slot.begin(), slot.end());
+    }
     slot.clear();
 }
 
 Cycle
 ExecUnit::nextEventCycle(Cycle now) const
 {
+    Cycle next = now;
     for (Cycle d = 1; d < wheelSize; ++d)
-        if (!wheel[(now + d) % wheelSize].empty())
-            return now + d;
-    return now;
+        if (!wheel[(now + d) % wheelSize].empty()) {
+            next = now + d;
+            break;
+        }
+    if (!overflow.empty() &&
+        (next == now || overflow.begin()->first < next))
+        next = overflow.begin()->first;
+    return next;
 }
 
 void
@@ -77,6 +85,7 @@ ExecUnit::reset()
 {
     for (auto &slot : wheel)
         slot.clear();
+    overflow.clear();
 }
 
 void
@@ -98,6 +107,31 @@ ExecUnit::save(CheckpointWriter &w) const
             w.u64(seq);
         }
     }
+    w.u32(static_cast<std::uint32_t>(overflow.size()));
+    for (const auto &[when, events] : overflow) {
+        w.u64(when);
+        w.u32(static_cast<std::uint32_t>(events.size()));
+        for (const auto &[tid, seq] : events) {
+            w.i16(tid);
+            w.u64(seq);
+        }
+    }
+}
+
+void
+ExecUnit::readCompletions(CheckpointReader &r, Completions &into) const
+{
+    std::uint32_t n = static_cast<std::uint32_t>(
+        r.checkCount(r.u32(), 10, "completion"));
+    for (std::uint32_t i = 0; i < n; ++i) {
+        ThreadID tid = r.i16();
+        InstSeqNum seq = r.u64();
+        if (tid < 0 || static_cast<unsigned>(tid) >= params.numThreads)
+            r.fail(csprintf("completion references thread %d, valid "
+                            "range is [0, %u) (corrupt reference)",
+                            (int)tid, params.numThreads));
+        into.emplace_back(tid, seq);
+    }
 }
 
 void
@@ -116,19 +150,17 @@ ExecUnit::restore(CheckpointReader &r)
             r.fail(csprintf("event-wheel slot %u out of range "
                             "[0, %zu)",
                             idx, wheelSize));
-        std::uint32_t n = static_cast<std::uint32_t>(
-            r.checkCount(r.u32(), 10, "completion"));
-        for (std::uint32_t i = 0; i < n; ++i) {
-            ThreadID tid = r.i16();
-            InstSeqNum seq = r.u64();
-            if (tid < 0 ||
-                static_cast<unsigned>(tid) >= params.numThreads)
-                r.fail(csprintf("completion references thread %d, "
-                                "valid range is [0, %u) (corrupt "
-                                "reference)",
-                                (int)tid, params.numThreads));
-            wheel[idx].emplace_back(tid, seq);
-        }
+        readCompletions(r, wheel[idx]);
+    }
+    std::uint32_t cycles = static_cast<std::uint32_t>(
+        r.checkCount(r.u32(), 12, "overflow cycle"));
+    for (std::uint32_t c = 0; c < cycles; ++c) {
+        Cycle when = r.u64();
+        if (overflow.count(when))
+            r.fail(csprintf("overflow cycle %llu listed twice (corrupt "
+                            "payload)",
+                            (unsigned long long)when));
+        readCompletions(r, overflow[when]);
     }
 }
 

@@ -5,12 +5,21 @@
  * unit assigns latencies (memory latency comes from the hierarchy)
  * and delivers completions by (thread, seq) so squashed instructions
  * are ignored safely.
+ *
+ * Completions within one wheel revolution of their issue cycle (all
+ * of them, in practice) live in the wheel. Longer latencies — a miss
+ * queued behind a chain of busy MSHRs — spill into a small overflow
+ * map ordered by cycle, then issue order. An overflow event was issued
+ * before every wheel event of its cycle (it is at least one full
+ * revolution old), so it is delivered first: completion order is
+ * always cycle, then issue order.
  */
 
 #ifndef SMTFETCH_CORE_EXEC_HH
 #define SMTFETCH_CORE_EXEC_HH
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "core/dyn_inst.hh"
@@ -48,14 +57,16 @@ class ExecUnit
     bool
     pendingAt(Cycle now) const
     {
-        return !wheel[now % wheelSize].empty();
+        return !wheel[now % wheelSize].empty() ||
+               (!overflow.empty() && overflow.begin()->first == now);
     }
 
     /**
      * Earliest cycle strictly after `now` with a scheduled
-     * completion, or `now` itself when the wheel is empty. Every
-     * live event lies within one wheel revolution of its issue
-     * cycle (issue() panics otherwise), so one scan is exhaustive.
+     * completion, or `now` itself when nothing is scheduled. Wheel
+     * events lie within one revolution of `now`, so one scan finds
+     * the first of them; the overflow map's first key covers the
+     * rest.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -68,14 +79,21 @@ class ExecUnit
     /// @}
 
   private:
-    void schedule(Cycle when, ThreadID tid, InstSeqNum seq);
+    using Completions = std::vector<std::pair<ThreadID, InstSeqNum>>;
+
+    /** Checkpoint helper: append one serialized completion list. */
+    void readCompletions(CheckpointReader &r, Completions &into) const;
 
     static constexpr std::size_t wheelSize = 2048;
 
     const CoreParams &params;
     MemoryHierarchy &memory;
 
-    std::vector<std::vector<std::pair<ThreadID, InstSeqNum>>> wheel;
+    std::vector<Completions> wheel;
+
+    /** Completions a revolution or more after their issue cycle,
+     *  keyed by cycle, each list in issue order. */
+    std::map<Cycle, Completions> overflow;
 };
 
 } // namespace smt

@@ -32,6 +32,20 @@ getLe(const unsigned char *in, unsigned bytes)
     return v;
 }
 
+/** FNV-1a 64: cheap enough to run on every restored snapshot, and
+ *  any single-bit flip in a payload changes it. */
+constexpr std::uint64_t fnvOffset = 14695981039346656037ull;
+constexpr std::uint64_t fnvPrime = 1099511628211ull;
+
+std::uint64_t
+fnv1a(std::uint64_t h, const void *data, std::size_t n)
+{
+    const unsigned char *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < n; ++i)
+        h = (h ^ p[i]) * fnvPrime;
+    return h;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -60,6 +74,8 @@ CheckpointWriter::fail(const std::string &what) const
 void
 CheckpointWriter::raw(const void *data, std::size_t n)
 {
+    if (inSection)
+        checksum = fnv1a(checksum, data, n);
     os.write(static_cast<const char *>(data),
              static_cast<std::streamsize>(n));
     if (!os)
@@ -79,6 +95,7 @@ CheckpointWriter::begin(const std::string &component)
     sectionSizePos = os.tellp();
     u64(0); // payload size, backpatched by end()
     inSection = true;
+    checksum = fnvOffset;
 }
 
 void
@@ -86,6 +103,7 @@ CheckpointWriter::end()
 {
     if (!inSection)
         fail("end() with no open section");
+    inSection = false;
     std::streampos here = os.tellp();
     std::uint64_t payload = static_cast<std::uint64_t>(
         here - sectionSizePos - std::streamoff(8));
@@ -94,7 +112,7 @@ CheckpointWriter::end()
     os.seekp(here);
     if (!os)
         fail("seek failed while patching a section size");
-    inSection = false;
+    u64(checksum);
     ++components;
 }
 
@@ -236,6 +254,8 @@ CheckpointReader::raw(void *data, std::size_t n)
             static_cast<std::streamsize>(n));
     if (!is || is.gcount() != static_cast<std::streamsize>(n))
         fail("unexpected end of file (truncated checkpoint)");
+    if (inSection)
+        checksum = fnv1a(checksum, data, n);
 }
 
 void
@@ -265,6 +285,7 @@ CheckpointReader::begin(const std::string &component)
                       (unsigned long long)sectionRemaining,
                       (unsigned long long)streamBytes));
     inSection = true;
+    checksum = fnvOffset;
 }
 
 void
@@ -278,6 +299,11 @@ CheckpointReader::end()
                       "content",
                       (unsigned long long)sectionRemaining));
     inSection = false;
+    if (u64() != checksum)
+        fail(csprintf("checksum mismatch in component \"%s\" (corrupt "
+                      "or tampered payload) — delete the file and "
+                      "re-save it",
+                      sectionName.c_str()));
     sectionName.clear();
     ++consumedCount;
 }

@@ -14,7 +14,8 @@
  *   configKey string (u32 length + bytes): the warmup-relevant
  *             configuration the state was captured under; restore
  *             refuses a mismatching target configuration.
- *   sections  count x { name string, u64 payloadBytes, payload }
+ *   sections  count x { name string, u64 payloadBytes, payload,
+ *                       u64 checksum (FNV-1a 64 over the payload) }
  *   trailer   "SMTCKEND"                        (8 bytes)
  *
  * Components serialize themselves through save(CheckpointWriter&) /
@@ -58,9 +59,11 @@ class CheckpointError : public std::runtime_error
  * checkpoint section tags ("engine.gshare", ...) from the engine
  * registry (older checkpoints fail restore with a re-save-it error);
  * v5 appended the per-thread access/miss attribution arrays to every
- * cache payload.
+ * cache payload; v6 appended the completion overflow (events beyond
+ * one event-wheel revolution) to the exec payload and a checksum
+ * after every section payload.
  */
-constexpr std::uint16_t checkpointFormatVersion = 5;
+constexpr std::uint16_t checkpointFormatVersion = 6;
 
 /** Binary file magic ("SMTCKPT" + NUL). */
 constexpr char checkpointMagic[8] = {'S', 'M', 'T', 'C',
@@ -116,10 +119,12 @@ class CheckpointWriter
     [[noreturn]] void fail(const std::string &what) const;
 
   private:
+    /** Write bytes; section payload bytes also feed the checksum. */
     void raw(const void *data, std::size_t n);
 
     std::ostream &os;
     std::string context;
+    std::uint64_t checksum = 0; //!< of the open section's payload
     std::uint32_t components = 0;
     std::streampos countPos;
     std::streampos sectionSizePos = -1;
@@ -190,6 +195,7 @@ class CheckpointReader
     std::istream &is;
     std::string context;
     std::string key;
+    std::uint64_t checksum = 0; //!< of the open section's payload
     std::uint64_t streamBytes = 0;
     std::uint32_t declaredCount = 0;
     std::uint32_t consumedCount = 0;

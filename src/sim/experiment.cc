@@ -109,23 +109,27 @@ RunOverrides::writeJson(JsonWriter &jw) const
         jw.field(key, value);
 }
 
+unsigned
+ExperimentRunner::workersFor(std::size_t points)
+{
+    unsigned hw = std::thread::hardware_concurrency();
+    return std::min<unsigned>(hw == 0 ? 4 : hw,
+                              (unsigned)std::max<std::size_t>(points, 1));
+}
+
 SweepReport
 ExperimentRunner::run(const SweepRequest &request) const
 {
-    // A reuse-enabled run without an installed shared cache gets a
-    // private one scoped to this call — the PR 4 "once per runAll"
-    // semantics; snapshots still persist across calls through
+    // A reuse-enabled run gets a private cache scoped to this call;
+    // snapshots still persist across calls through
     // request.checkpointDir's disk tier.
     std::optional<WarmupSnapshotCache> local;
     WarmupSnapshotCache *cache_ptr = nullptr;
     if (request.reuseEnabled())
-        cache_ptr = sharedCache ? sharedCache : &local.emplace();
+        cache_ptr = &local.emplace();
 
-    unsigned hw = std::thread::hardware_concurrency();
-    unsigned workers = std::min<unsigned>(
-        hw == 0 ? 4 : hw,
-        (unsigned)std::max<std::size_t>(request.points.size(), 1));
-    SweepScheduler scheduler(workers, cache_ptr);
+    SweepScheduler scheduler(workersFor(request.points.size()),
+                             cache_ptr);
     return scheduler.wait(scheduler.submit(request));
 }
 
@@ -261,7 +265,7 @@ ExperimentRunner::writeJson(
                  static_cast<std::uint64_t>(timing->restoredRuns));
         jw.field("directRuns",
                  static_cast<std::uint64_t>(timing->directRuns));
-        // Only resumed distributed sweeps have journal-served
+        // Only resumed sweeps have journal-served
         // points; older records stay byte-identical.
         if (timing->journaledPoints > 0)
             jw.field("journaledPoints",

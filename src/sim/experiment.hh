@@ -6,8 +6,8 @@
  * accounting. ExperimentRunner is a thin facade that feeds a request
  * through the scheduler/executor pair (sim/scheduler.hh,
  * sim/executor.hh) and renders paper-figure tables and BENCH_*.json
- * records; the serve daemon drives the same scheduler directly with a
- * shared process-wide snapshot cache.
+ * records. `smtsim --checkpoint-dir` drives the same scheduler
+ * directly to journal and resume a sweep.
  */
 
 #ifndef SMTFETCH_SIM_EXPERIMENT_HH
@@ -25,7 +25,6 @@ namespace smt
 {
 
 class JsonWriter;
-class WarmupSnapshotCache;
 
 /**
  * Optional per-run deviations from the Table 3 baseline, used by the
@@ -142,9 +141,9 @@ struct SweepRequest
 
     /**
      * Warmup-snapshot sharing: group points by warmup configuration
-     * key, simulate each distinct warmup once (process-wide when a
-     * shared WarmupSnapshotCache is installed), and restore the
-     * snapshot for every other point. Results are bit-identical to
+     * key, simulate each distinct warmup once (across every job of a
+     * SweepScheduler sharing one WarmupSnapshotCache), and restore
+     * the snapshot for every other point. Results are bit-identical to
      * the plain path. Implied by a non-empty checkpointDir.
      */
     bool reuseWarmup = false;
@@ -173,7 +172,7 @@ struct SweepTiming
                                    //!< checkpoint flags)
 
     /** Points satisfied from a resume journal without simulating
-     *  anything (distributed sweeps only; counted inside
+     *  anything (resumed sweeps only; counted inside
      *  completedPoints but NOT inside warmup/restored/direct). */
     std::size_t journaledPoints = 0;
     double warmupSeconds = 0;      //!< wall clock inside warmups
@@ -186,8 +185,8 @@ struct SweepTiming
     /** @name Snapshot-cache accounting (reuse path only): restored
      *  points split by serving tier, plus the evictions the serving
      *  cache performed over this sweep's lifetime (exact for a
-     *  single-process run; a lower bound under concurrent sweeps
-     *  sharing the daemon's cache). */
+     *  single sweep; a lower bound under concurrent sweeps sharing
+     *  one cache). */
     /// @{
     std::uint64_t cacheHits = 0;      //!< memory-tier restores
     std::uint64_t cacheDiskHits = 0;  //!< disk-tier restores
@@ -219,22 +218,19 @@ struct SweepReport
 
 /**
  * Facade over the scheduler/executor pair: runs one SweepRequest to
- * completion across host threads and renders results. Construct with
- * a WarmupSnapshotCache to share warmup snapshots beyond a single
- * run() call (the serve daemon's process-wide cache); the default
- * constructor gives every reuse-enabled run a private cache.
+ * completion across host threads and renders results. Every
+ * reuse-enabled run gets a private warmup-snapshot cache; snapshots
+ * outlive it only through the request's checkpointDir disk tier.
  */
 class ExperimentRunner
 {
   public:
-    ExperimentRunner() = default;
-    explicit ExperimentRunner(WarmupSnapshotCache &shared_cache)
-        : sharedCache(&shared_cache)
-    {
-    }
-
     /** Run a whole request, parallelized across host threads. */
     SweepReport run(const SweepRequest &request) const;
+
+    /** Scheduler pool size for a grid of `points` points: the host
+     *  concurrency, capped at the point count. */
+    static unsigned workersFor(std::size_t points);
 
     /**
      * Render a figure: one row per (workload, policy) group, one
@@ -256,9 +252,6 @@ class ExperimentRunner
               const std::vector<std::pair<std::string, double>>
                   &metrics = {},
               const SweepTiming *timing = nullptr);
-
-  private:
-    WarmupSnapshotCache *sharedCache = nullptr;
 };
 
 /**

@@ -5,13 +5,18 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <unordered_set>
 
 #ifndef _WIN32
 #include <unistd.h>
 #endif
 
 #include "sim/result_codec.hh"
+#include "sim/scheduler.hh"
+#include "sim/snapshot_cache.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -118,9 +123,8 @@ SweepJournal::load(std::size_t total_points, bool fresh)
                 : "<missing>",
             requestKey.c_str()));
 
-    // Entries: skip duplicates (a respawned coordinator can re-run a
-    // point whose append raced the kill), keep the first, tolerate
-    // exactly one torn line at the tail.
+    // Entries: skip duplicates (keep the first), tolerate exactly
+    // one torn line at the tail.
     std::map<std::size_t, PointOutcome> seen;
     std::size_t lineno = 1;
     for (;;) {
@@ -151,7 +155,7 @@ SweepJournal::load(std::size_t total_points, bool fresh)
             throw;
         } catch (const std::exception &e) {
             if (at_tail) {
-                // The coordinator died mid-append; the entry never
+                // The run died mid-append; the entry never
                 // finished, so the point simply reruns.
                 warn("journal %s: dropping torn final line %zu",
                      path.c_str(), lineno);
@@ -223,6 +227,44 @@ SweepJournal::append(std::size_t index, const PointOutcome &outcome)
         warn("journal %s: append failed — the sweep continues but "
              "a resume will recompute this point",
              path.c_str());
+}
+
+SweepReport
+runJournaled(const SweepRequest &request, const std::string &bench,
+             bool fresh)
+{
+    if (request.checkpointDir.empty())
+        throw std::invalid_argument(
+            "a journaled sweep needs a checkpoint directory");
+
+    // The journal header records the same warmup grouping the
+    // scheduler reports.
+    PointExecutor probe(ExecutorParams{request.warmupCycles,
+                                       request.measureCycles,
+                                       request.seed, request.cycleSkip});
+    std::unordered_set<std::string> groups;
+    for (const GridPoint &p : request.points)
+        if (PointExecutor::reusable(p))
+            groups.insert(probe.warmupKey(p));
+
+    SweepScheduler::SubmitOptions so;
+    so.journal = std::make_unique<SweepJournal>(
+        SweepJournal::pathFor(request.checkpointDir, bench), bench,
+        sweepRequestKey(request), request.points.size(), groups.size(),
+        fresh);
+    so.precompleted = so.journal->completed();
+    if (!so.precompleted.empty()) {
+        inform("resuming %s: %zu of %zu points already journaled in %s",
+               bench.c_str(), so.precompleted.size(),
+               request.points.size(), request.checkpointDir.c_str());
+        std::fflush(stdout);
+    }
+
+    WarmupSnapshotCache cache;
+    SweepScheduler scheduler(
+        ExperimentRunner::workersFor(request.points.size()), &cache);
+    return scheduler.wait(
+        scheduler.submit(request, bench, std::move(so)));
 }
 
 } // namespace smt

@@ -1,13 +1,13 @@
 /**
  * @file
- * The completed-point journal behind resumable distributed sweeps:
- * one JSONL file per bench in the sweep's checkpointDir. Line 1 is a
- * header binding the journal to a specific request (sweepRequestKey
- * over the expanded grid); every later line records one completed
- * grid point's outcome through the result codec. A coordinator
- * killed mid-run reopens the journal, skips every journaled point
- * and re-serves the rest from the persisted warmup snapshots — zero
- * recomputed points, zero re-simulated warmups.
+ * The completed-point journal behind resumable sweeps (`smtsim
+ * --checkpoint-dir`): one JSONL file per bench in the sweep's
+ * checkpointDir. Line 1 is a header binding the journal to a specific
+ * request (sweepRequestKey over the expanded grid); every later line
+ * records one completed grid point's outcome through the result
+ * codec. A run killed mid-sweep reopens the journal, skips every
+ * journaled point and serves the rest from the persisted warmup
+ * snapshots — zero recomputed points, zero re-simulated warmups.
  */
 
 #ifndef SMTFETCH_SIM_JOURNAL_HH
@@ -41,7 +41,7 @@ struct JournalEntry
 
 /**
  * Open-or-create journal for one (bench, request) pair. Loading
- * tolerates a torn final line (the coordinator was killed mid-append)
+ * tolerates a torn final line (the run was killed mid-append)
  * by truncating to the last complete entry; any other corruption or a
  * header naming a different request/grid throws JournalError with the
  * fix spelled out. append() is thread-safe and flushes per line so a
@@ -67,8 +67,6 @@ class SweepJournal
 
     void append(std::size_t index, const PointOutcome &outcome);
 
-    const std::string &filePath() const { return path; }
-
     /** "journal_<bench>.jsonl" inside the checkpoint directory. */
     static std::string pathFor(const std::string &dir,
                                const std::string &bench);
@@ -86,6 +84,18 @@ class SweepJournal
     std::vector<JournalEntry> entries;
     std::ofstream os;
 };
+
+/**
+ * Run a reuse-enabled request in-process and journal it in its
+ * checkpointDir (which must be set): every finished point is appended
+ * to pathFor(checkpointDir, bench), and a re-run of the same request
+ * serves the journaled points without simulating them and runs only
+ * the rest, restoring warmups from the snapshots persisted in the same
+ * directory. `fresh` discards the journal first. The report counts
+ * journal-served points in timing.journaledPoints.
+ */
+SweepReport runJournaled(const SweepRequest &request,
+                         const std::string &bench, bool fresh);
 
 } // namespace smt
 

@@ -198,63 +198,6 @@ resultFromWireJson(const JsonValue &doc)
 }
 
 std::string
-pointToWireJson(const GridPoint &point)
-{
-    std::ostringstream os;
-    JsonWriter jw(os, 0);
-    jw.beginObject();
-    jw.field("workload", point.workload);
-    jw.field("engine", engineName(point.engine));
-    jw.field("fetchThreads", point.fetchThreads);
-    jw.field("fetchWidth", point.fetchWidth);
-    jw.field("policy", policyName(point.policy));
-    if (point.overrides.any()) {
-        jw.key("overrides");
-        jw.beginObject();
-        point.overrides.writeJson(jw);
-        jw.endObject();
-    }
-    if (!point.recordPath.empty())
-        jw.field("recordPath", point.recordPath);
-    if (point.recordPadCycles != 0)
-        jw.field("recordPadCycles", point.recordPadCycles);
-    if (!point.saveCheckpointPath.empty())
-        jw.field("saveCheckpointPath", point.saveCheckpointPath);
-    if (!point.restoreCheckpointPath.empty())
-        jw.field("restoreCheckpointPath",
-                 point.restoreCheckpointPath);
-    jw.endObject();
-    return os.str();
-}
-
-GridPoint
-pointFromWireJson(const JsonValue &doc)
-{
-    if (!doc.isObject())
-        codecFail(csprintf("a point must be an object, found %s",
-                           doc.kindName()));
-    GridPoint p;
-    p.workload = strMember(doc, "workload");
-    p.engine = engineKindFromString(strMember(doc, "engine"));
-    p.fetchThreads =
-        static_cast<unsigned>(u64Member(doc, "fetchThreads"));
-    p.fetchWidth =
-        static_cast<unsigned>(u64Member(doc, "fetchWidth"));
-    p.policy = policyKindFromString(strMember(doc, "policy"));
-    if (const JsonValue *o = doc.find("overrides"))
-        p.overrides = overridesFromWire(*o);
-    if (const JsonValue *v = doc.find("recordPath"))
-        p.recordPath = v->asString();
-    if (const JsonValue *v = doc.find("recordPadCycles"))
-        p.recordPadCycles = v->asUInt64();
-    if (const JsonValue *v = doc.find("saveCheckpointPath"))
-        p.saveCheckpointPath = v->asString();
-    if (const JsonValue *v = doc.find("restoreCheckpointPath"))
-        p.restoreCheckpointPath = v->asString();
-    return p;
-}
-
-std::string
 outcomeToWireJson(const PointOutcome &outcome)
 {
     std::ostringstream os;
@@ -296,32 +239,6 @@ outcomeFromWireJson(const JsonValue &doc)
     o.measureSeconds = numMember(doc, "measureSeconds");
     o.result = resultFromWireJson(member(doc, "result"));
     return o;
-}
-
-void
-writeExecutorParamsJson(JsonWriter &jw, const ExecutorParams &p)
-{
-    jw.beginObject();
-    jw.field("warmupCycles", p.warmupCycles);
-    jw.field("measureCycles", p.measureCycles);
-    jw.field("seed", p.seed);
-    jw.field("cycleSkip", p.cycleSkip);
-    jw.endObject();
-}
-
-ExecutorParams
-executorParamsFromWireJson(const JsonValue &doc)
-{
-    if (!doc.isObject())
-        codecFail(csprintf("\"params\" must be an object, found %s",
-                           doc.kindName()));
-    ExecutorParams p;
-    p.warmupCycles = u64Member(doc, "warmupCycles");
-    p.measureCycles = u64Member(doc, "measureCycles");
-    p.seed = u64Member(doc, "seed");
-    const JsonValue &skip = member(doc, "cycleSkip");
-    p.cycleSkip = skip.asBool();
-    return p;
 }
 
 std::string

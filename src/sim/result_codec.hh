@@ -1,8 +1,8 @@
 /**
  * @file
- * JSON codec for grid points and per-point results: the wire format
- * of the distributed-sweep worker protocol (serve/worker.hh) and the
- * on-disk format of the completed-point journal (sim/journal.hh).
+ * JSON codec for per-point results: the on-disk format of the
+ * completed-point journal (sim/journal.hh) that `smtsim
+ * --checkpoint-dir` resumes from and tools/merge_bench.py merges.
  * Round trips are lossless — `statsJson` travels as an escaped JSON
  * string member, and ipfc/ipc render through the same "%.17g" path as
  * the BENCH records, so a result that went through the codec still
@@ -23,7 +23,7 @@ namespace smt
 class JsonValue;
 class JsonWriter;
 
-/** Malformed codec input (bad journal line, bad worker payload). */
+/** Malformed codec input (bad journal line). */
 class CodecError : public std::runtime_error
 {
   public:
@@ -32,27 +32,21 @@ class CodecError : public std::runtime_error
 
 /**
  * Emit one result as a BENCH-record `results[]` element. This is THE
- * rendering ExperimentRunner::writeJson uses, factored out so the
- * distributed merge paths (in-daemon and tools/merge_bench.py) stay
- * byte-compatible with the single-process runner by construction.
+ * rendering ExperimentRunner::writeJson uses, factored out so a
+ * record rebuilt from a journal stays byte-compatible with the one
+ * the runner writes.
  */
 void writeResultJson(JsonWriter &jw, const ExperimentResult &r);
 
-/** @name Wire codec (compact single-line JSON documents). */
+/** @name Journal-line codec (compact single-line JSON documents). */
 /// @{
 std::string resultToWireJson(const ExperimentResult &r);
 ExperimentResult resultFromWireJson(const JsonValue &doc);
-
-std::string pointToWireJson(const GridPoint &point);
-GridPoint pointFromWireJson(const JsonValue &doc);
 
 /** The outcome codec carries the result plus the served-by sideband
  *  (warmup/restored/direct, timings) the sweep accounting needs. */
 std::string outcomeToWireJson(const PointOutcome &outcome);
 PointOutcome outcomeFromWireJson(const JsonValue &doc);
-
-void writeExecutorParamsJson(JsonWriter &jw, const ExecutorParams &p);
-ExecutorParams executorParamsFromWireJson(const JsonValue &doc);
 /// @}
 
 /**

@@ -4,7 +4,7 @@
  * post-warmup simulator checkpoints keyed by warmupConfigKey, with an
  * optional persistent on-disk tier and single-flight warmup leasing
  * so a popular warmup configuration is simulated once ever — across
- * grid points, sweeps, and (through the serve daemon) clients.
+ * grid points and sweeps.
  */
 
 #ifndef SMTFETCH_SIM_SNAPSHOT_CACHE_HH

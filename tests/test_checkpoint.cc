@@ -593,6 +593,39 @@ TEST_F(MalformedCheckpoint, ConfigKeyMismatchDifferentWarmup)
                        "different configuration");
 }
 
+TEST_F(MalformedCheckpoint, SingleBitFlipsAnywhereAreRejected)
+{
+    // Every section payload carries an FNV-1a checksum, and the
+    // header, section names, sizes and trailer are checked
+    // structurally, so a flipped bit anywhere fails the restore.
+    // Sample 97 offsets spread across the whole file, one bit each.
+    const std::size_t n = valid->size();
+    const std::size_t samples = 97;
+    std::string path = tempPath("bitflip.ckpt");
+    for (std::size_t k = 0; k < samples; ++k) {
+        std::size_t offset = k * (n - 1) / (samples - 1);
+        std::vector<char> bytes = *valid;
+        bytes[offset] = static_cast<char>(bytes[offset] ^ (1 << (k % 8)));
+        writeFileBytes(path, bytes);
+        Simulator sim(*cfg);
+        EXPECT_THROW(sim.restoreCheckpoint(path), CheckpointError)
+            << "bit " << k % 8 << " of byte " << offset << " of " << n;
+    }
+}
+
+TEST_F(MalformedCheckpoint, PayloadChecksumMismatchNamesTheComponent)
+{
+    // Flip the low bit of the last section's last payload byte (just
+    // before its checksum and the trailer): the value still decodes,
+    // so only the checksum can notice.
+    std::vector<char> bytes = *valid;
+    std::size_t last = bytes.size() - 8 - 8 - 1;
+    bytes[last] = static_cast<char>(bytes[last] ^ 0x01);
+    std::string path = tempPath("badsum.ckpt");
+    writeFileBytes(path, bytes);
+    expectRestoreFails(*cfg, path, "checksum");
+}
+
 TEST_F(MalformedCheckpoint, RestoreIntoUsedSimulatorRefused)
 {
     Simulator sim(*cfg);

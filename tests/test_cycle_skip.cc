@@ -9,6 +9,7 @@
  * itself reports the right wake-up cycles.
  */
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 
 #include "core/exec.hh"
 #include "mem/hierarchy.hh"
+#include "sim/checkpoint.hh"
 #include "sim/experiment.hh"
 #include "sim/sim_config.hh"
 #include "sim/simulator.hh"
@@ -128,6 +130,112 @@ TEST(CycleSkipWheel, NextEventCycleFindsScheduledCompletions)
 
     exec.completionsAt(now + 100, done);
     EXPECT_EQ(exec.nextEventCycle(now + 100), now + 100);
+}
+
+TEST(CycleSkipWheel, LatencyBeyondOneRevolutionSpillsInOrder)
+{
+    // A latency of a wheel revolution or more (2048 cycles) used to
+    // panic; it now lands in the overflow map and is delivered in
+    // (cycle, issue order) like every other completion.
+    CoreParams params;
+    params.intMultLatency = 3'000;
+    params.fpLatency = 100;
+    MemoryHierarchy memory(params.memory);
+    ExecUnit exec(params, memory);
+
+    const Cycle now = 5'000;
+    DynInst mul;
+    mul.tid = 0;
+    mul.seq = 1;
+    mul.op = OpClass::IntMult;
+    EXPECT_EQ(exec.issue(mul, now), 3'000u);
+    EXPECT_EQ(exec.nextEventCycle(now), now + 3'000);
+
+    // A later, shorter op completing in the same cycle sits in the
+    // wheel; an even later one completes first.
+    DynInst fp;
+    fp.tid = 1;
+    fp.seq = 2;
+    fp.op = OpClass::FpAlu;
+    exec.issue(fp, now + 2'900);
+    DynInst alu;
+    alu.tid = 1;
+    alu.seq = 3;
+    alu.op = OpClass::IntAlu;
+    exec.issue(alu, now + 2'950);
+    EXPECT_EQ(exec.nextEventCycle(now + 2'950), now + 2'951);
+
+    // The checkpoint carries the overflow.
+    std::ostringstream os(std::ios::binary);
+    {
+        CheckpointWriter w(os, "<exec>", "k");
+        w.begin("exec");
+        exec.save(w);
+        w.end();
+        w.finish();
+    }
+    ExecUnit restored(params, memory);
+    {
+        std::istringstream is(std::move(os).str(), std::ios::binary);
+        CheckpointReader r(is, "<exec>");
+        r.begin("exec");
+        restored.restore(r);
+        r.end();
+        r.finish();
+    }
+
+    for (ExecUnit *unit : {&exec, &restored}) {
+        std::vector<std::pair<ThreadID, InstSeqNum>> done;
+        unit->completionsAt(now + 2'951, done);
+        ASSERT_EQ(done.size(), 1u);
+        EXPECT_EQ(unit->nextEventCycle(now + 2'951), now + 3'000);
+        EXPECT_FALSE(unit->pendingAt(now + 2'999));
+        EXPECT_TRUE(unit->pendingAt(now + 3'000));
+        unit->completionsAt(now + 3'000, done);
+        ASSERT_EQ(done.size(), 2u);
+        EXPECT_EQ(done[0].second, 1u); // issued first, delivered first
+        EXPECT_EQ(done[1].second, 2u);
+        EXPECT_EQ(unit->nextEventCycle(now + 3'000), now + 3'000);
+    }
+}
+
+TEST(CycleSkipWheel, ProgramSeed747RunsToCompletion)
+{
+    // This 2_MEM program queues D-cache misses behind busy MSHRs
+    // until one load's latency passes a wheel revolution (it aborted
+    // with "latency 2228 exceeds event wheel"). It must now run, with
+    // skipping bit-identical to ticking and a warmup checkpoint
+    // restoring bit-identically, under every long-load policy.
+    for (LongLoadPolicy policy : {LongLoadPolicy::None,
+                                  LongLoadPolicy::Stall,
+                                  LongLoadPolicy::Flush}) {
+        SimConfig cfg =
+            table3Config("2_MEM", EngineKind::Stream, 2, 8);
+        cfg.core.longLoadPolicy = policy;
+        cfg.warmupCycles = 5'000;
+        cfg.measureCycles = 25'000;
+        cfg.seed = 747;
+
+        Simulator skipping(cfg);
+        skipping.runWarmup();
+        std::string snapshot = skipping.saveCheckpointToString();
+        skipping.runMeasure();
+        EXPECT_GT(skipping.stats().instsCommitted, 0u);
+
+        Simulator restored(cfg);
+        restored.restoreCheckpointFromString(snapshot);
+        restored.runMeasure();
+        EXPECT_EQ(restored.measuredStatsJson(),
+                  skipping.measuredStatsJson());
+
+        SimConfig ticking_cfg = cfg;
+        ticking_cfg.core.cycleSkip = false;
+        Simulator ticking(ticking_cfg);
+        ticking.run();
+        EXPECT_EQ(strippedStats(ticking.measuredStatsJson()),
+                  strippedStats(skipping.measuredStatsJson()))
+            << longLoadPolicyName(policy);
+    }
 }
 
 // ---------------------------------------------------------------------

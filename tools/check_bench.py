@@ -378,7 +378,7 @@ def check_warmup_reuse(reuse, result_count):
         raise CheckFailure("warmupReuse.warmupGroups exceeds gridPoints")
     if reuse["warmupRuns"] > reuse["warmupGroups"]:
         raise CheckFailure("warmupReuse.warmupRuns exceeds warmupGroups")
-    # journaledPoints: points a resumed distributed sweep satisfied
+    # journaledPoints: points a resumed sweep satisfied
     # from its journal without simulating anything. Only emitted when
     # nonzero, so plain records stay byte-identical.
     journaled = reuse.get("journaledPoints", 0)

@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
-"""Merge a distributed-sweep journal into a BENCH_*.json record.
+"""Merge a resumable-sweep journal into a BENCH_*.json record.
 
-A distributed sweep (`smtsim sweep --checkpoint-dir DIR ...`, or the
-serve daemon with {"distributed": {...}}) journals every completed
-grid point to DIR/journal_<bench>.jsonl. Normally the coordinator
-itself writes the final BENCH record when the sweep finishes; this
-tool builds the same record offline from the journal alone — e.g. to
-inspect a partially completed run, or to recover the record of a run
-whose coordinator was killed after the last point but before the
-write.
+A sweep run with `smtsim --checkpoint-dir DIR <spec>` (or a spec with
+"checkpointDir") journals every completed grid point to
+DIR/journal_<bench>.jsonl. Normally smtsim itself writes the final
+BENCH record when the sweep finishes; this tool builds the same record
+offline from the journal alone — e.g. to inspect a partially
+completed run, or to recover the record of a run that was killed
+after the last point but before the write.
 
 The per-point `results` array is rendered byte-identically to
 smtsim's own writer (same key order, same 2-space indentation, same
 %.17g float rendering, stats embedded verbatim), so diffing a merged
 record against a single-process `smtsim <spec>` record compares equal
 on every results[] byte. The timing blocks are derived from journaled
-per-point seconds: the original coordinator wall clock is gone, so
+per-point seconds: the original run's wall clock is gone, so
 `wallSeconds`/`sweepSeconds` are the journal's summed simulation time
 (still shaped to pass tools/check_bench.py).
 

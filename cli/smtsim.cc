@@ -338,10 +338,11 @@ runOne(const Options &opt, const std::string &arg)
         return 1;
     }
 
-    SweepReport report =
-        request.checkpointDir.empty()
-            ? ExperimentRunner().run(request)
-            : runJournaled(request, spec.benchName(), opt.fresh);
+    SweepReport report;
+    if (request.checkpointDir.empty())
+        report = ExperimentRunner().run(request);
+    else
+        report = runJournaled(request, spec.benchName(), opt.fresh);
     const auto &results = report.results;
     const auto &points_run = request.points;
     if (!opt.recordPath.empty() && !opt.quiet) {

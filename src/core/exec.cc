@@ -42,8 +42,7 @@ ExecUnit::issue(DynInst &inst, Cycle now)
 
     inst.stage = InstStage::Issued;
     if (latency < wheelSize)
-        wheel[(now + latency) % wheelSize].emplace_back(inst.tid,
-                                                        inst.seq);
+        wheel[(now + latency) % wheelSize].emplace_back(inst.tid, inst.seq);
     else
         overflow[now + latency].emplace_back(inst.tid, inst.seq);
     return latency;

@@ -128,8 +128,7 @@ ExperimentRunner::run(const SweepRequest &request) const
     if (request.reuseEnabled())
         cache_ptr = &local.emplace();
 
-    SweepScheduler scheduler(workersFor(request.points.size()),
-                             cache_ptr);
+    SweepScheduler scheduler(workersFor(request.points.size()), cache_ptr);
     return scheduler.wait(scheduler.submit(request));
 }
 

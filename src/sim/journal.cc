@@ -263,8 +263,7 @@ runJournaled(const SweepRequest &request, const std::string &bench,
     WarmupSnapshotCache cache;
     SweepScheduler scheduler(
         ExperimentRunner::workersFor(request.points.size()), &cache);
-    return scheduler.wait(
-        scheduler.submit(request, bench, std::move(so)));
+    return scheduler.wait(scheduler.submit(request, bench, std::move(so)));
 }
 
 } // namespace smt

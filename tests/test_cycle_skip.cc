@@ -206,12 +206,9 @@ TEST(CycleSkipWheel, ProgramSeed747RunsToCompletion)
     // with "latency 2228 exceeds event wheel"). It must now run, with
     // skipping bit-identical to ticking and a warmup checkpoint
     // restoring bit-identically, under every long-load policy.
-    for (LongLoadPolicy policy : {LongLoadPolicy::None,
-                                  LongLoadPolicy::Stall,
-                                  LongLoadPolicy::Flush}) {
-        SimConfig cfg =
-            table3Config("2_MEM", EngineKind::Stream, 2, 8);
-        cfg.core.longLoadPolicy = policy;
+    for (const char *policy : {"none", "stall", "flush"}) {
+        SimConfig cfg = table3Config("2_MEM", EngineKind::Stream, 2, 8);
+        cfg.core.longLoadPolicy = longLoadPolicyFromString(policy);
         cfg.warmupCycles = 5'000;
         cfg.measureCycles = 25'000;
         cfg.seed = 747;
@@ -234,7 +231,7 @@ TEST(CycleSkipWheel, ProgramSeed747RunsToCompletion)
         ticking.run();
         EXPECT_EQ(strippedStats(ticking.measuredStatsJson()),
                   strippedStats(skipping.measuredStatsJson()))
-            << longLoadPolicyName(policy);
+            << policy;
     }
 }
 

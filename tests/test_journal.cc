@@ -176,10 +176,8 @@ TEST(JournaledSweep, FirstRunIsBitIdenticalToThePlainRunner)
     plain.checkpointDir.clear();
     EXPECT_EQ(resultsArray(run.results),
               resultsArray(ExperimentRunner().run(plain).results));
-    EXPECT_EQ(readLines(SweepJournal::pathFor(req.checkpointDir,
-                                              "plain"))
-                  .size(),
-              1 + req.points.size());
+    std::string path = SweepJournal::pathFor(req.checkpointDir, "plain");
+    EXPECT_EQ(readLines(path).size(), 1 + req.points.size());
 }
 
 TEST(JournaledSweep, ResumeSkipsEveryCompletedPoint)
@@ -197,11 +195,9 @@ TEST(JournaledSweep, ResumeSkipsEveryCompletedPoint)
     JsonValue doc = jsonParse(lines[0]);
     EXPECT_EQ(doc.find("schema")->asString(), "smtfetch-journal-v1");
     EXPECT_EQ(doc.find("bench")->asString(), "resume");
-    EXPECT_EQ(doc.find("requestKey")->asString(),
-              sweepRequestKey(req));
+    EXPECT_EQ(doc.find("requestKey")->asString(), sweepRequestKey(req));
     EXPECT_EQ(doc.find("points")->asUInt64(), req.points.size());
-    EXPECT_EQ(doc.find("warmupGroups")->asUInt64(),
-              req.points.size());
+    EXPECT_EQ(doc.find("warmupGroups")->asUInt64(), req.points.size());
 
     // A full re-run simulates nothing at all: every point is served
     // from the journal.
@@ -220,8 +216,7 @@ TEST(JournaledSweep, TruncatedJournalRerunsOnlyTheMissingPoint)
 
     // Drop the last completed entry — the run was killed after 3 of
     // 4 points.
-    std::string path = SweepJournal::pathFor(req.checkpointDir,
-                                             "truncate");
+    std::string path = SweepJournal::pathFor(req.checkpointDir, "truncate");
     std::vector<std::string> lines = readLines(path);
     ASSERT_EQ(lines.size(), 1 + req.points.size());
     lines.pop_back();

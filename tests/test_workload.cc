@@ -6,10 +6,14 @@
  * within tolerance for all 12 SPECint2000 models).
  */
 
+#include <cctype>
 #include <set>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "sim/checkpoint.hh"
+#include "util/sha256.hh"
 #include "workload/branch_model.hh"
 #include "workload/memory_model.hh"
 #include "workload/profiles.hh"
@@ -158,14 +162,173 @@ TEST(ProfilesTest, Table1BlockSizes)
     EXPECT_NEAR(profileFor("twolf").avgBlockSize, 8.00, 1e-9);
 }
 
-TEST(BuilderTest, DeterministicForSameSeed)
+/**
+ * sha256 over everything an image holds: every StaticInst field, the
+ * block and function tables, the data region, and every model's
+ * checkpoint payload. A checkpoint carries only a model's mutable
+ * state, so each model first makes a few draws on a copy; the drawn
+ * values and the state after them depend on its static shape (kind,
+ * seed, threshold, trip count, targets).
+ */
+std::string
+imageDigest(const BenchmarkImage &img)
 {
-    auto a = buildImage(profileFor("gzip"), 0x400000, 0x40000000, 1);
-    auto b = buildImage(profileFor("gzip"), 0x400000, 0x40000000, 1);
-    ASSERT_EQ(a.program.numInsts(), b.program.numInsts());
-    for (std::size_t i = 0; i < a.program.numInsts(); i += 97) {
-        Addr pc = a.program.base() + i * instBytes;
-        EXPECT_EQ(a.program.lookup(pc)->op, b.program.lookup(pc)->op);
+    Sha256 h;
+    auto put = [&h](std::uint64_t v) { h.update(&v, sizeof v); };
+    const StaticProgram &prog = img.program;
+    put(prog.base());
+    put(prog.entry());
+    put(prog.numInsts());
+    for (std::size_t i = 0; i < prog.numInsts(); ++i) {
+        const StaticInst &si = *prog.lookup(prog.base() + i * instBytes);
+        put(si.pc);
+        put(static_cast<std::uint64_t>(si.op));
+        put(si.src1);
+        put(si.src2);
+        put(si.dst);
+        put(si.target);
+        put(si.modelId);
+        put(si.blockIndex);
+    }
+    put(prog.numBlocks());
+    for (std::uint32_t b = 0; b < prog.numBlocks(); ++b) {
+        const BasicBlock &bb = prog.block(b);
+        put(bb.startPC);
+        put(bb.numInsts);
+        put(bb.index);
+        put(bb.functionId);
+    }
+    put(prog.numFunctions());
+    for (std::uint32_t f = 0; f < prog.numFunctions(); ++f) {
+        const StaticFunction &fn = prog.function(f);
+        put(fn.firstBlock);
+        put(fn.numBlocks);
+        put(fn.entryPC);
+    }
+    put(img.dataBase);
+    put(img.dataBytes);
+
+    constexpr int draws = 8;
+    std::ostringstream os(std::ios::binary);
+    CheckpointWriter w(os, "<image-digest>", "");
+    w.begin("models");
+    auto payload_start = os.tellp();
+    w.u32(static_cast<std::uint32_t>(img.branchModels.size()));
+    for (BranchModel m : img.branchModels) {
+        for (int i = 0; i < draws; ++i)
+            w.b(m.next(0x9e3779b97f4a7c15ULL * i, 0x5bd1e995ULL * i));
+        m.save(w);
+    }
+    w.u32(static_cast<std::uint32_t>(img.indirectModels.size()));
+    for (IndirectModel m : img.indirectModels) {
+        w.u32(static_cast<std::uint32_t>(m.targets().size()));
+        for (Addr t : m.targets())
+            w.u64(t);
+        for (int i = 0; i < draws; ++i)
+            w.u64(m.next());
+        m.save(w);
+    }
+    w.u32(static_cast<std::uint32_t>(img.memModels.size()));
+    for (MemoryModel m : img.memModels) {
+        for (int i = 0; i < draws; ++i)
+            w.u64(m.next());
+        m.save(w);
+    }
+    std::string bytes = os.str();
+    h.update(bytes.data() + payload_start,
+             bytes.size() - static_cast<std::size_t>(payload_start));
+    return h.hexDigest();
+}
+
+/** One pinned image: a profile (or a Table 2 workload's thread) at a
+ *  program seed, and its imageDigest. */
+struct PinnedImage
+{
+    const char *name;
+    std::uint64_t seed;
+    unsigned thread; //!< thread index for workload names
+    const char *digest;
+};
+
+/**
+ * The digests below were computed before the builder's calibration
+ * probe, call-target lookup and instruction emission were reworked
+ * for speed; any change to how an image is built must leave every one
+ * of them unchanged, or it changes every simulated result.
+ */
+const PinnedImage pinnedImages[] = {
+    {"gzip", 0, 0,
+     "35413489baddd39589018a3892620d3760894c7cde4046c2d49134f5182f69c5"},
+    {"vpr", 0, 0,
+     "c3062964f74487a746e75f763e11c644257149e2c26e2f5f6faa5f3fddaf7c7a"},
+    {"gcc", 0, 0,
+     "d7e0d442718127e10527d3863187da9c3abb0d975e3bce36df34935bdce582fd"},
+    {"mcf", 0, 0,
+     "7b8c70acf3ccf4724dda47e6ae9311d2629212b8ad385f57a4b8bd8ad2632002"},
+    {"crafty", 0, 0,
+     "3aafbbb64e0a055062040ebf499d3a8570141cc0ecdad0d011e7075ff0776165"},
+    {"parser", 0, 0,
+     "63cff0873bb6c23ba0d05366ee06bd40344c7b0884fbfcf60e3041b41c2f394b"},
+    {"eon", 0, 0,
+     "c658ccd52924f84898c31d1220863626dbc649f02e258848a30cd4d90ba8a15d"},
+    {"perlbmk", 0, 0,
+     "1f70a726061cba1bb46e8fe48c34776dd8797fbfbd2eb95d7708eb14adae7487"},
+    {"gap", 0, 0,
+     "b288cda4009d1a47793db85830cc2608b560b5e44ba5beac4e83fc57d7b64dbb"},
+    {"vortex", 0, 0,
+     "b632ebde1b9c59a7e280be46d4a58bddf720e09a339b027ef617936c3ad2ae8e"},
+    {"bzip2", 0, 0,
+     "0045ba46a55206089205d8e00331281e91a536873911de3d27d11f1204a5bad8"},
+    {"twolf", 0, 0,
+     "740bd59881b3aad243c8023a576d12ed23abf00385d85dc72247dc270b5a8642"},
+    {"gzip", 747, 0,
+     "8e626dfa35988381199ab16234d7a2aa9d5b8e0cafc2a2d6dbc54d8dce788e28"},
+    {"vpr", 747, 0,
+     "f05dbeb6331d4ca7553764a0994f122482edc89b459d71b5d4403ea70a8648a6"},
+    {"gcc", 747, 0,
+     "2667dab8acbeaa68b90fd7a95dcc51a7964d885f66da3cecd82733cb5d8e6b00"},
+    {"mcf", 747, 0,
+     "d72f35c9ce5392347c67ccc08002247efb548ff54268137c45c336001cac50e3"},
+    {"crafty", 747, 0,
+     "31c9ecb70923317838f5f7fe327a2aacf4aa68a701bd857dc865dd921fcd510a"},
+    {"parser", 747, 0,
+     "6cc1f8b03bbb4e8932fe5c4b60bb97adef3ce8d39f528c5d8dfa3066a340da6a"},
+    {"eon", 747, 0,
+     "09a8367039069210423d4d3e24304a88c8bbdc2b46624cc16e22edede48cfb17"},
+    {"perlbmk", 747, 0,
+     "3af05d7ba1998a81375e0c4fa5eec52c8d5087888d17ac333b8c80d979b33c67"},
+    {"gap", 747, 0,
+     "0ea76473a5e6a9256224e5f39b11b6ee7fb94da8a437ab7d13dbfcab9861e2e1"},
+    {"vortex", 747, 0,
+     "f0720fb03a8d1eb14e6e5cf15783f4a3911784b113b4252609defcc47aa0a02e"},
+    {"bzip2", 747, 0,
+     "ee8eb2fc6703052b8546ea6a824f2225549507513131b9ab4bfe0c8728918a1b"},
+    {"twolf", 747, 0,
+     "ce4db952704e57904d2c3bde507c286b8cbd29a500528b8c40316806085ee060"},
+    {"2_ILP", 192, 0,
+     "32d6464ad91b9f166c18ecf69938b6140eef2b16e1911a39df93d3950fa6ae94"},
+    {"2_ILP", 192, 1,
+     "d9411548dc945d54aa549664e930ce11a7d1819b746bc0b58feb927304713cb2"},
+    {"2_MEM", 192, 0,
+     "cea8d2d27fef58fb63b0a56a049597fcbf28d677449fd664dfe4c1d4b1e21f64"},
+    {"2_MEM", 192, 1,
+     "e3269dd8ebec1aeb05f1049fe393ac7a86f3735b94ee0ada2c4c40ac20374664"},
+};
+
+TEST(BuilderTest, ImagesMatchPinnedDigests)
+{
+    for (const PinnedImage &p : pinnedImages) {
+        std::string got;
+        if (std::isdigit(static_cast<unsigned char>(p.name[0]))) {
+            WorkloadImages w = buildWorkload(workloadFor(p.name), p.seed);
+            got = imageDigest(*w.images.at(p.thread));
+        } else {
+            got = imageDigest(
+                buildImage(profileFor(p.name), 0x400000, 0x40000000,
+                           p.seed));
+        }
+        EXPECT_EQ(got, p.digest)
+            << p.name << " seed " << p.seed << " thread " << p.thread;
     }
 }
 

@@ -14,25 +14,34 @@ StaticProgram::StaticProgram(std::string name, Addr base)
 }
 
 void
-StaticProgram::appendBlock(std::vector<StaticInst> block_insts,
-                           std::uint32_t function_id)
+StaticProgram::reserve(std::size_t num_insts, std::size_t num_blocks,
+                       std::size_t num_functions)
+{
+    insts.reserve(num_insts);
+    blocks.reserve(num_blocks);
+    functions.reserve(num_functions);
+}
+
+std::span<StaticInst>
+StaticProgram::addBlock(std::uint32_t num_insts, std::uint32_t function_id)
 {
     if (finalized)
-        panic("appendBlock after finalize");
-    if (block_insts.empty())
+        panic("addBlock after finalize");
+    if (num_insts == 0)
         panic("empty basic block");
 
     BasicBlock bb;
     bb.startPC = limit();
-    bb.numInsts = static_cast<std::uint32_t>(block_insts.size());
+    bb.numInsts = num_insts;
     bb.index = static_cast<std::uint32_t>(blocks.size());
     bb.functionId = function_id;
 
+    std::size_t first = insts.size();
+    insts.resize(first + num_insts);
     Addr pc = bb.startPC;
-    for (auto &si : block_insts) {
-        si.pc = pc;
-        si.blockIndex = bb.index;
-        insts.push_back(si);
+    for (std::size_t i = first; i < insts.size(); ++i) {
+        insts[i].pc = pc;
+        insts[i].blockIndex = bb.index;
         pc += instBytes;
     }
 
@@ -46,6 +55,21 @@ StaticProgram::appendBlock(std::vector<StaticInst> block_insts,
     ++fn.numBlocks;
 
     blocks.push_back(bb);
+    return {insts.data() + first, num_insts};
+}
+
+void
+StaticProgram::appendBlock(const std::vector<StaticInst> &block_insts,
+                           std::uint32_t function_id)
+{
+    std::span<StaticInst> dst = addBlock(
+        static_cast<std::uint32_t>(block_insts.size()), function_id);
+    for (std::size_t i = 0; i < dst.size(); ++i) {
+        StaticInst si = block_insts[i];
+        si.pc = dst[i].pc;
+        si.blockIndex = dst[i].blockIndex;
+        dst[i] = si;
+    }
 }
 
 void

@@ -10,6 +10,7 @@
 #define SMTFETCH_ISA_PROGRAM_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,8 +39,26 @@ class StaticProgram
   public:
     StaticProgram(std::string name, Addr base);
 
-    /** Append a block's worth of instructions (builder interface). */
-    void appendBlock(std::vector<StaticInst> insts,
+    /**
+     * Size the storage for a program of `num_insts` instructions in
+     * `num_blocks` blocks and `num_functions` functions, so that
+     * addBlock never reallocates (builder interface; optional).
+     */
+    void reserve(std::size_t num_insts, std::size_t num_blocks,
+                 std::size_t num_functions);
+
+    /**
+     * Append a block of `num_insts` default instructions with their
+     * pc and blockIndex set, and return them for the builder to fill
+     * in place. The span stays valid until the next addBlock that
+     * outgrows the reserved storage.
+     */
+    std::span<StaticInst> addBlock(std::uint32_t num_insts,
+                                   std::uint32_t function_id);
+
+    /** Append a block's worth of instructions (their pc and
+     *  blockIndex are assigned here). */
+    void appendBlock(const std::vector<StaticInst> &insts,
                      std::uint32_t function_id);
 
     /** Finish construction: freeze metadata, validate layout. */
@@ -98,9 +117,6 @@ class StaticProgram
     {
         return functions[idx];
     }
-
-    /** Mutable instruction access for the builder (pre-finalize). */
-    StaticInst &instAt(std::size_t flat_index) { return insts[flat_index]; }
 
     /** Mean static basic-block size in instructions. */
     double avgBlockSize() const;

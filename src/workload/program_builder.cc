@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/bitfield.hh"
-#include "util/logging.hh"
 #include "util/random.hh"
 #include "workload/trace.hh"
 
@@ -70,8 +69,9 @@ class Builder
                            StaticProgram(profile.name, codeBase),
                            {}, {}, {}, dataBase, dataBytes};
 
+        img.program.reserve(numInsts, specs.size(), numFunctions);
         for (const auto &spec : specs)
-            img.program.appendBlock(materialize(spec, img), spec.funcId);
+            materialize(spec, img);
 
         img.program.finalize(specs.front().startPC);
         return img;
@@ -98,6 +98,7 @@ class Builder
             if (func_id == 0)
                 in_func = std::max<unsigned>(in_func, 25);
             std::uint32_t first = static_cast<std::uint32_t>(specs.size());
+            funcFirstBlock.push_back(first);
             for (unsigned b = 0; b < in_func; ++b) {
                 BlockSpec s;
                 s.funcId = func_id;
@@ -134,6 +135,7 @@ class Builder
             s.startPC = pc;
             pc += static_cast<Addr>(s.sizeInsts) * instBytes;
         }
+        numInsts = (pc - codeBase) / instBytes;
     }
 
     /**
@@ -165,10 +167,9 @@ class Builder
     {
         bool is_last = index_in_func + 1 == func_blocks;
         if (is_last) {
-            // Function 0 is the driver: its last block restarts it.
-            return specs.empty() || specs.back().funcId != 0
-                       ? TermType::Ret
-                       : TermType::Ret; // overwritten below for func 0
+            // materialize overrides function 0's last block: the
+            // driver's closing jump restarts it.
+            return TermType::Ret;
         }
         double u = rng.uniform();
         double c = profile.condFrac;
@@ -233,32 +234,28 @@ class Builder
     Addr
     functionEntry(std::uint32_t func_id) const
     {
-        for (const auto &s : specs)
-            if (s.funcId == func_id)
-                return s.startPC;
-        panic("function %u not found", func_id);
+        return specs[funcFirstBlock[func_id]].startPC;
     }
 
-    /** Pass 2: emit instructions for one block. */
-    std::vector<StaticInst>
+    /** Pass 2: emit one block's instructions into the program. */
+    void
     materialize(const BlockSpec &s, BenchmarkImage &img)
     {
         std::uint32_t global_idx = static_cast<std::uint32_t>(
             &s - specs.data());
-        std::vector<StaticInst> insts;
-        insts.reserve(s.sizeInsts);
+        std::span<StaticInst> insts =
+            img.program.addBlock(s.sizeInsts, s.funcId);
 
         bool is_func_last = s.indexInFunc + 1 == s.funcNumBlocks;
-        bool has_term = true;
         TermType term = s.term;
         if (is_func_last)
             term = s.funcId == 0 ? TermType::Jump : TermType::Ret;
 
-        unsigned body = s.sizeInsts - (has_term ? 1 : 0);
-        for (unsigned i = 0; i < body; ++i)
-            insts.push_back(makeBodyInst(img));
+        // The last instruction is the terminator.
+        for (std::size_t i = 0; i + 1 < insts.size(); ++i)
+            makeBodyInst(insts[i], img);
 
-        StaticInst t;
+        StaticInst &t = insts.back();
         switch (term) {
           case TermType::Cond: {
             t.op = OpClass::CondBranch;
@@ -320,8 +317,6 @@ class Builder
         }
         if (t.op == OpClass::CondBranch)
             t.src1 = nextSrcReg();
-        insts.push_back(t);
-        return insts;
     }
 
     BranchModel
@@ -357,10 +352,9 @@ class Builder
         return BranchModel::makeBiased(p, rng.next());
     }
 
-    StaticInst
-    makeBodyInst(BenchmarkImage &img)
+    void
+    makeBodyInst(StaticInst &si, BenchmarkImage &img)
     {
-        StaticInst si;
         double u = rng.uniform();
         if (u < profile.loadFrac) {
             si.op = OpClass::Load;
@@ -386,7 +380,6 @@ class Builder
             si.src2 = rng.chance(0.5) ? nextSrcReg() : invalidReg;
             si.dst = nextDstReg();
         }
-        return si;
     }
 
     void
@@ -506,7 +499,9 @@ class Builder
     double sizeScale;
 
     std::vector<BlockSpec> specs;
+    std::vector<std::uint32_t> funcFirstBlock; //!< by function id
     std::uint32_t numFunctions = 0;
+    std::uint64_t numInsts = 0;
     std::uint64_t dstCounter = 0;
     std::uint64_t fpCounter = 0;
 };
@@ -530,10 +525,7 @@ buildImage(const BenchmarkProfile &profile, Addr code_base,
         if (iter >= 4)
             return img;
 
-        SyntheticTraceStream probe(img);
-        for (int i = 0; i < 200'000; ++i)
-            probe.next();
-        double measured = probe.stats().avgBlockSize();
+        double measured = dynamicAvgBlockSize(img, 200'000);
         if (measured <= 0.0)
             return img;
         double ratio = profile.avgBlockSize / measured;

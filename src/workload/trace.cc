@@ -1,7 +1,6 @@
 #include "workload/trace.hh"
 
 #include "sim/checkpoint.hh"
-#include "util/bitfield.hh"
 #include "util/logging.hh"
 #include "workload/trace_file.hh"
 
@@ -205,95 +204,70 @@ TraceSource::restoreBase(CheckpointReader &r)
 }
 
 SyntheticTraceStream::SyntheticTraceStream(const BenchmarkImage &image)
-    : TraceSource(image), branchModels(image.branchModels),
-      indirectModels(image.indirectModels), memModels(image.memModels),
-      pc(image.program.entry())
+    : TraceSource(image), control(image), memModels(image.memModels)
 {
 }
 
 TraceRecord
 SyntheticTraceStream::generate()
 {
-    const StaticInst *si = img.program.lookup(pc);
+    const StaticInst *si = img.program.lookup(control.pc);
     if (si == nullptr)
         panic("correct path left program code at 0x%llx (%s)",
-              (unsigned long long)pc, img.profile.name.c_str());
+              (unsigned long long)control.pc, img.profile.name.c_str());
 
     TraceRecord rec;
     rec.si = si;
-    rec.taken = false;
-    rec.nextPc = si->nextPc();
-    rec.memAddr = invalidAddr;
-
-    switch (si->op) {
-      case OpClass::CondBranch: {
-        bool taken = branchModels[si->modelId].next(oracleHistory,
-                                                    oraclePathSig);
-        oracleHistory = (oracleHistory << 1) | (taken ? 1 : 0);
-        rec.taken = taken;
-        if (taken)
-            rec.nextPc = si->target;
-        break;
-      }
-      case OpClass::Jump:
-        rec.taken = true;
-        rec.nextPc = si->target;
-        break;
-      case OpClass::CallDirect:
-        rec.taken = true;
-        rec.nextPc = si->target;
-        if (callStack.size() < maxCallDepth)
-            callStack.push_back(si->nextPc());
-        break;
-      case OpClass::Return:
-        rec.taken = true;
-        if (!callStack.empty()) {
-            rec.nextPc = callStack.back();
-            callStack.pop_back();
-        } else {
-            // Defensive: a return with no frame restarts the driver.
-            rec.nextPc = img.program.entry();
-        }
-        break;
-      case OpClass::JumpIndirect:
-        rec.taken = true;
-        rec.nextPc = indirectModels[si->modelId].next();
-        break;
-      case OpClass::Load:
-      case OpClass::Store:
-        rec.memAddr = memModels[si->modelId].next();
-        break;
-      default:
-        break;
-    }
-
-    // Track the oracle path signature: packed targets of recent taken
-    // CTIs, most recent in the low bits.
-    if (rec.taken) {
-        oraclePathSig =
-            (oraclePathSig << pathSigBitsPerTarget) |
-            ((rec.nextPc >> 2) & mask(pathSigBitsPerTarget));
-    }
-
-    pc = rec.nextPc;
+    rec.memAddr = si->isMemory() ? memModels[si->modelId].next()
+                                 : invalidAddr;
+    rec.taken = control.step(*si);
+    rec.nextPc = control.pc;
     return rec;
+}
+
+double
+dynamicAvgBlockSize(const BenchmarkImage &image, std::uint64_t insts)
+{
+    const StaticProgram &prog = image.program;
+    ControlWalk control(image);
+    TraceStats stats;
+    while (stats.insts < insts) {
+        const StaticInst *si = prog.lookup(control.pc);
+        if (si == nullptr)
+            panic("correct path left program code at 0x%llx (%s)",
+                  (unsigned long long)control.pc,
+                  image.profile.name.c_str());
+        const BasicBlock &bb = prog.block(si->blockIndex);
+        std::uint64_t run = (bb.endPC() - control.pc) / instBytes;
+        if (run > insts - stats.insts) {
+            // The window ends before the terminator executes.
+            stats.insts = insts;
+            break;
+        }
+        stats.insts += run;
+        const StaticInst &last = *prog.lookup(bb.lastPC());
+        if (last.isControl())
+            ++stats.ctis;
+        control.step(last);
+    }
+    return stats.avgBlockSize();
 }
 
 void
 SyntheticTraceStream::save(CheckpointWriter &w) const
 {
     saveBase(w);
-    w.u64(pc);
-    w.u32(static_cast<std::uint32_t>(callStack.size()));
-    for (Addr a : callStack)
+    w.u64(control.pc);
+    w.u32(static_cast<std::uint32_t>(control.callStack.size()));
+    for (Addr a : control.callStack)
         w.u64(a);
-    w.u64(oracleHistory);
-    w.u64(oraclePathSig);
-    w.u32(static_cast<std::uint32_t>(branchModels.size()));
-    for (const BranchModel &m : branchModels)
+    w.u64(control.oracleHistory);
+    w.u64(control.oraclePathSig);
+    w.u32(static_cast<std::uint32_t>(control.branchModels.size()));
+    for (const BranchModel &m : control.branchModels)
         m.save(w);
-    w.u32(static_cast<std::uint32_t>(indirectModels.size()));
-    for (const IndirectModel &m : indirectModels)
+    w.u32(static_cast<std::uint32_t>(control.indirectModels.size()));
+    for (const IndirectModel &m : control.indirectModels)
         m.save(w);
     w.u32(static_cast<std::uint32_t>(memModels.size()));
     for (const MemoryModel &m : memModels)
@@ -304,16 +278,16 @@ void
 SyntheticTraceStream::restore(CheckpointReader &r)
 {
     restoreBase(r);
-    pc = r.u64();
+    control.pc = r.u64();
     std::uint32_t depth = r.u32();
-    if (depth > maxCallDepth)
+    if (depth > ControlWalk::maxCallDepth)
         r.fail(csprintf("call-stack depth %u exceeds the %zu cap",
-                        depth, maxCallDepth));
-    callStack.resize(depth);
-    for (Addr &a : callStack)
+                        depth, ControlWalk::maxCallDepth));
+    control.callStack.resize(depth);
+    for (Addr &a : control.callStack)
         a = r.u64();
-    oracleHistory = r.u64();
-    oraclePathSig = r.u64();
+    control.oracleHistory = r.u64();
+    control.oraclePathSig = r.u64();
     auto check_models = [&r](std::uint32_t n, std::size_t have,
                              const char *what) {
         if (n != have)
@@ -322,11 +296,11 @@ SyntheticTraceStream::restore(CheckpointReader &r)
                             "match this workload image",
                             what, n, have));
     };
-    check_models(r.u32(), branchModels.size(), "branch");
-    for (BranchModel &m : branchModels)
+    check_models(r.u32(), control.branchModels.size(), "branch");
+    for (BranchModel &m : control.branchModels)
         m.restore(r);
-    check_models(r.u32(), indirectModels.size(), "indirect");
-    for (IndirectModel &m : indirectModels)
+    check_models(r.u32(), control.indirectModels.size(), "indirect");
+    for (IndirectModel &m : control.indirectModels)
         m.restore(r);
     check_models(r.u32(), memModels.size(), "memory");
     for (MemoryModel &m : memModels)

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "isa/static_inst.hh"
+#include "util/bitfield.hh"
 #include "workload/program_builder.hh"
 
 namespace smt
@@ -200,6 +201,92 @@ class TraceSource
 };
 
 /**
+ * The control half of a synthetic stream: the correct-path PC, the
+ * call stack, the oracle outcome history and path signature, and
+ * private copies of the image's branch and indirect models. Memory
+ * models are not part of it: each carries its own seed, so control
+ * flow never reads them. SyntheticTraceStream steps it once per
+ * instruction; dynamicAvgBlockSize steps it once per basic block,
+ * at the block's last instruction — the only one that can transfer
+ * control.
+ */
+class ControlWalk
+{
+  public:
+    explicit ControlWalk(const BenchmarkImage &image)
+        : branchModels(image.branchModels),
+          indirectModels(image.indirectModels),
+          pc(image.program.entry()), entryPc(image.program.entry())
+    {
+    }
+
+    /**
+     * Resolve `si`, the instruction at pc: draw its branch or indirect
+     * model, update the call stack, history and path signature, and
+     * move pc to the next correct-path instruction.
+     * @return whether control transferred.
+     */
+    bool
+    step(const StaticInst &si)
+    {
+        bool taken = true;
+        switch (si.op) {
+          case OpClass::CondBranch:
+            taken = branchModels[si.modelId].next(oracleHistory,
+                                                  oraclePathSig);
+            oracleHistory = (oracleHistory << 1) | (taken ? 1 : 0);
+            pc = taken ? si.target : si.nextPc();
+            break;
+          case OpClass::Jump:
+            pc = si.target;
+            break;
+          case OpClass::CallDirect:
+            pc = si.target;
+            if (callStack.size() < maxCallDepth)
+                callStack.push_back(si.nextPc());
+            break;
+          case OpClass::Return:
+            if (!callStack.empty()) {
+                pc = callStack.back();
+                callStack.pop_back();
+            } else {
+                // Defensive: a return with no frame restarts the
+                // driver.
+                pc = entryPc;
+            }
+            break;
+          case OpClass::JumpIndirect:
+            pc = indirectModels[si.modelId].next();
+            break;
+          default:
+            pc = si.nextPc();
+            return false;
+        }
+        // Track the oracle path signature: packed targets of recent
+        // taken CTIs, most recent in the low bits.
+        if (taken) {
+            oraclePathSig =
+                (oraclePathSig << pathSigBitsPerTarget) |
+                ((pc >> 2) & mask(pathSigBitsPerTarget));
+        }
+        return taken;
+    }
+
+    std::vector<BranchModel> branchModels;
+    std::vector<IndirectModel> indirectModels;
+
+    Addr pc;
+    std::vector<Addr> callStack;
+    std::uint64_t oracleHistory = 0;
+    std::uint64_t oraclePathSig = 0;
+
+    static constexpr std::size_t maxCallDepth = 64;
+
+  private:
+    Addr entryPc;
+};
+
+/**
  * Infinite synthetic correct-path stream: walks the image's CFG,
  * consulting its branch/indirect/memory behaviour models. The stream
  * owns private copies of the models, so multiple streams over the same
@@ -218,17 +305,20 @@ class SyntheticTraceStream : public TraceSource
     TraceRecord generate() override;
 
   private:
-    std::vector<BranchModel> branchModels;
-    std::vector<IndirectModel> indirectModels;
+    ControlWalk control;
     std::vector<MemoryModel> memModels;
-
-    Addr pc;
-    std::vector<Addr> callStack;
-    std::uint64_t oracleHistory = 0;
-    std::uint64_t oraclePathSig = 0;
-
-    static constexpr std::size_t maxCallDepth = 64;
 };
+
+/**
+ * Dynamic average basic-block size (instructions per CTI) of the
+ * first `insts` correct-path instructions of `image`, walked a whole
+ * block at a time without generating memory addresses or records. It
+ * equals a fresh SyntheticTraceStream's stats().avgBlockSize() after
+ * `insts` calls to next(): a block the window cuts short counts its
+ * instructions but not its terminator.
+ */
+double dynamicAvgBlockSize(const BenchmarkImage &image,
+                           std::uint64_t insts);
 
 } // namespace smt
 

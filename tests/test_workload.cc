@@ -386,6 +386,42 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, Table1Calibration,
                                            "perlbmk", "gap", "vortex",
                                            "bzip2", "twolf"));
 
+/**
+ * The calibration probe walks whole blocks; it must agree bit for bit
+ * with a record-by-record stream over the same window, for the window
+ * the builder uses and for windows ending mid-block and exactly on a
+ * terminator.
+ */
+TEST(TraceTest, BlockWalkMatchesStreamStats)
+{
+    constexpr std::uint64_t window = 200'000;
+    for (const char *name : {"gzip", "vpr", "gcc", "mcf", "crafty",
+                             "parser", "eon", "perlbmk", "gap", "vortex",
+                             "bzip2", "twolf"}) {
+        for (std::uint64_t seed : {0, 1, 747}) {
+            auto img = buildImage(profileFor(name), 0x400000, 0x40000000,
+                                  seed);
+            SyntheticTraceStream trace(img);
+            bool checked_term = false, checked_mid = false;
+            for (std::uint64_t n = 1; n <= window; ++n) {
+                TraceRecord r = trace.next();
+                bool at_term = r.si->isControl();
+                bool check = n == window ||
+                             (n >= window / 2 &&
+                              (at_term ? !checked_term : !checked_mid));
+                if (!check)
+                    continue;
+                (at_term ? checked_term : checked_mid) = true;
+                EXPECT_EQ(dynamicAvgBlockSize(img, n),
+                          trace.stats().avgBlockSize())
+                    << name << " seed " << seed << " after " << n
+                    << (at_term ? " (terminator)" : " (mid-block)");
+            }
+            EXPECT_TRUE(checked_term && checked_mid) << name;
+        }
+    }
+}
+
 TEST(TraceTest, InfiniteAndDeterministic)
 {
     auto img = buildImage(profileFor("gzip"), 0x400000, 0x40000000);

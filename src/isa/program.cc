@@ -59,20 +59,6 @@ StaticProgram::addBlock(std::uint32_t num_insts, std::uint32_t function_id)
 }
 
 void
-StaticProgram::appendBlock(const std::vector<StaticInst> &block_insts,
-                           std::uint32_t function_id)
-{
-    std::span<StaticInst> dst = addBlock(
-        static_cast<std::uint32_t>(block_insts.size()), function_id);
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-        StaticInst si = block_insts[i];
-        si.pc = dst[i].pc;
-        si.blockIndex = dst[i].blockIndex;
-        dst[i] = si;
-    }
-}
-
-void
 StaticProgram::finalize(Addr entry_pc)
 {
     if (finalized)

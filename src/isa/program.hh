@@ -56,11 +56,6 @@ class StaticProgram
     std::span<StaticInst> addBlock(std::uint32_t num_insts,
                                    std::uint32_t function_id);
 
-    /** Append a block's worth of instructions (their pc and
-     *  blockIndex are assigned here). */
-    void appendBlock(const std::vector<StaticInst> &insts,
-                     std::uint32_t function_id);
-
     /** Finish construction: freeze metadata, validate layout. */
     void finalize(Addr entry_pc);
 

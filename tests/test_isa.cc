@@ -77,12 +77,8 @@ StaticProgram
 makeProgram()
 {
     StaticProgram prog("test", 0x1000);
-    std::vector<StaticInst> b1(3);
-    b1[2].op = OpClass::CondBranch;
-    prog.appendBlock(b1, 0);
-    std::vector<StaticInst> b2(2);
-    b2[1].op = OpClass::Return;
-    prog.appendBlock(b2, 0);
+    prog.addBlock(3, 0)[2].op = OpClass::CondBranch;
+    prog.addBlock(2, 0)[1].op = OpClass::Return;
     prog.finalize(0x1000);
     return prog;
 }
@@ -95,6 +91,8 @@ TEST(StaticProgramTest, LayoutIsContiguous)
     EXPECT_EQ(prog.base(), 0x1000u);
     EXPECT_EQ(prog.limit(), 0x1000u + 5 * 4);
     EXPECT_EQ(prog.block(1).startPC, 0x100cu);
+    EXPECT_EQ(prog.lookup(0x1008)->blockIndex, 0u);
+    EXPECT_EQ(prog.lookup(0x100c)->blockIndex, 1u);
 }
 
 TEST(StaticProgramTest, DictionaryLookup)

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 
-#include "bpred/fetch_engine.hh"
 #include "isa/static_inst.hh"
 #include "util/types.hh"
 
@@ -69,11 +68,9 @@ struct DynInst
     /** Predicted block end, but the instruction is not a CTI. */
     bool bogusBlockEnd = false;
 
-    /** pred != oracle; resolves (squash+redirect) at execute. */
+    /** pred != oracle; resolves (squash+redirect) at execute. The
+     *  engine state to recover to is the ROB's Rob::ckptOf. */
     bool mispredicted = false;
-
-    /** Engine state snapshot for recovery (CTIs and block ends). */
-    EngineCheckpoint ckpt;
     /// @}
 
     /** @name Rename state. */

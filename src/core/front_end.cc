@@ -245,11 +245,14 @@ FrontEnd::buildInst(ThreadState &ts, ThreadID tid, Addr pc,
     inst.si = si;
     inst.op = si != nullptr ? si->op : OpClass::IntAlu;
 
+    // Every instruction carries its block's checkpoint: CTIs need it
+    // for mispredict repair, and the long-latency-load FLUSH policy
+    // may squash from any instruction.
+    rob.ckptOf(inst) = block.ckpt;
     if (is_end) {
         inst.wasBlockEnd = true;
         inst.predTaken = block.predTaken;
         inst.predNext = block.nextFetchPc;
-        inst.ckpt = block.ckpt;
         if (block.endsWithCti &&
             (si == nullptr || !si->isControl())) {
             inst.bogusBlockEnd = true;
@@ -257,10 +260,6 @@ FrontEnd::buildInst(ThreadState &ts, ThreadID tid, Addr pc,
     } else {
         inst.predTaken = false;
         inst.predNext = pc + instBytes;
-        // Every instruction carries its block's checkpoint: CTIs need
-        // it for mispredict repair, and the long-latency-load FLUSH
-        // policy may squash from any instruction.
-        inst.ckpt = block.ckpt;
     }
 
     if (ts.correctPath) {

@@ -40,7 +40,8 @@ PipelineState::squashAfter(DynInst &offender)
     ThreadID tid = offender.tid;
     InstSeqNum seq = offender.seq;
 
-    engine.recover(tid, offender.ckpt, offender.si, offender.oracleTaken,
+    engine.recover(tid, rob.ckptOf(offender), offender.si,
+                   offender.oracleTaken,
                    offender.oracleTaken ? offender.oracleNext
                                         : invalidAddr);
 

@@ -21,6 +21,13 @@
 namespace smt
 {
 
+/** Does this op class write/read floating-point registers? */
+constexpr bool
+usesFpRegs(OpClass op)
+{
+    return op == OpClass::FpAlu;
+}
+
 class CheckpointReader;
 class CheckpointWriter;
 
@@ -54,10 +61,21 @@ class RenameUnit
     void markReady(RegIndex phys, bool fp);
 
     /** Is the operand available? invalidReg counts as ready. */
-    bool isReady(RegIndex phys, bool fp) const;
+    bool
+    isReady(RegIndex phys, bool fp) const
+    {
+        if (phys == invalidReg)
+            return true;
+        return (fp ? readyFp[phys] : readyInt[phys]) != 0;
+    }
 
     /** Are all of an instruction's sources ready? */
-    bool sourcesReady(const DynInst &inst) const;
+    bool
+    sourcesReady(const DynInst &inst) const
+    {
+        bool fp = usesFpRegs(inst.op);
+        return isReady(inst.physSrc1, fp) && isReady(inst.physSrc2, fp);
+    }
 
     unsigned freeIntRegs() const
     {
@@ -87,16 +105,11 @@ class RenameUnit
     std::vector<RegIndex> freeInt;
     std::vector<RegIndex> freeFp;
 
-    std::vector<bool> readyInt;
-    std::vector<bool> readyFp;
+    /** Ready scoreboards, one byte per physical register (polled by
+     *  every issue-queue scan, so kept byte-addressable). */
+    std::vector<std::uint8_t> readyInt;
+    std::vector<std::uint8_t> readyFp;
 };
-
-/** Does this op class write/read floating-point registers? */
-constexpr bool
-usesFpRegs(OpClass op)
-{
-    return op == OpClass::FpAlu;
-}
 
 } // namespace smt
 

@@ -5,7 +5,9 @@
  * own every in-flight DynInst; commit pops the front, squash pops the
  * back, so slots are stable and pointers to live instructions stay
  * valid until the instruction leaves and its slot is eventually
- * reused.
+ * reused. Each instruction's engine checkpoint lives beside the ring,
+ * in a per-thread array parallel to its slots (ckptOf), so the
+ * DynInst every stage touches stays small.
  */
 
 #ifndef SMTFETCH_CORE_ROB_HH
@@ -13,6 +15,7 @@
 
 #include <vector>
 
+#include "bpred/fetch_engine.hh"
 #include "core/dyn_inst.hh"
 #include "util/logging.hh"
 #include "util/ring_buffer.hh"
@@ -33,13 +36,19 @@ class Rob
      *        latches for the core's configuration).
      */
     Rob(unsigned num_threads, unsigned capacity_per_thread)
-        : lists(num_threads), nextSeq(num_threads, 1)
+        : lists(num_threads), ckpts(num_threads), nextSeq(num_threads, 1)
     {
-        for (auto &list : lists)
-            list.setCapacity(capacity_per_thread);
+        for (unsigned t = 0; t < num_threads; ++t) {
+            lists[t].setCapacity(capacity_per_thread);
+            ckpts[t].resize(lists[t].slotCount());
+        }
     }
 
-    /** Create the next dynamic instruction for a thread. */
+    /**
+     * Create the next dynamic instruction for a thread. Its engine
+     * checkpoint (ckptOf) is not reset: the slot's previous contents
+     * remain until the creator assigns it.
+     */
     DynInst &
     create(ThreadID tid)
     {
@@ -127,6 +136,19 @@ class Rob
         return &list[lo];
     }
 
+    /** Engine state snapshot for recovery of a live instruction. */
+    EngineCheckpoint &
+    ckptOf(const DynInst &inst)
+    {
+        return ckpts[inst.tid][lists[inst.tid].slotOf(inst)];
+    }
+
+    const EngineCheckpoint &
+    ckptOf(const DynInst &inst) const
+    {
+        return ckpts[inst.tid][lists[inst.tid].slotOf(inst)];
+    }
+
     /** Index-based access (0 = oldest), for diagnostics/walks. */
     DynInst &at(ThreadID tid, std::size_t idx) { return lists[tid][idx]; }
     const DynInst &
@@ -162,6 +184,11 @@ class Rob
 
   private:
     std::vector<RingBuffer<DynInst>> lists;
+
+    /** ckpts[tid][slot]: engine checkpoint of the instruction in that
+     *  ring slot. */
+    std::vector<std::vector<EngineCheckpoint>> ckpts;
+
     std::vector<InstSeqNum> nextSeq;
 };
 

@@ -286,7 +286,8 @@ namespace
  * re-resolved against the thread's program on restore.
  */
 void
-saveInst(CheckpointWriter &w, const DynInst &inst)
+saveInst(CheckpointWriter &w, const DynInst &inst,
+         const EngineCheckpoint &ckpt)
 {
     w.u64(inst.seq);
     w.u64(inst.pc);
@@ -301,7 +302,7 @@ saveInst(CheckpointWriter &w, const DynInst &inst)
     w.b(inst.wasBlockEnd);
     w.b(inst.bogusBlockEnd);
     w.b(inst.mispredicted);
-    inst.ckpt.save(w);
+    ckpt.save(w);
     w.i16(inst.physSrc1);
     w.i16(inst.physSrc2);
     w.i16(inst.physDst);
@@ -329,7 +330,7 @@ checkRegIndex(CheckpointReader &r, RegIndex reg, unsigned bound,
 }
 
 void
-restoreInst(CheckpointReader &r, DynInst &inst,
+restoreInst(CheckpointReader &r, DynInst &inst, EngineCheckpoint &ckpt,
             const StaticProgram &program, const CoreParams &params)
 {
     inst.seq = r.u64();
@@ -354,7 +355,7 @@ restoreInst(CheckpointReader &r, DynInst &inst,
     inst.wasBlockEnd = r.b();
     inst.bogusBlockEnd = r.b();
     inst.mispredicted = r.b();
-    inst.ckpt.restore(r, params.engineParams.rasEntries);
+    ckpt.restore(r, params.engineParams.rasEntries);
     inst.physSrc1 = r.i16();
     inst.physSrc2 = r.i16();
     inst.physDst = r.i16();
@@ -433,8 +434,10 @@ SmtCore::saveState(CheckpointWriter &w) const
         ThreadID tid = static_cast<ThreadID>(t);
         w.u64(rob.nextSeqOf(tid));
         w.u32(static_cast<std::uint32_t>(rob.size(tid)));
-        for (std::size_t i = 0; i < rob.size(tid); ++i)
-            saveInst(w, rob.at(tid, i));
+        for (std::size_t i = 0; i < rob.size(tid); ++i) {
+            const DynInst &inst = rob.at(tid, i);
+            saveInst(w, inst, rob.ckptOf(inst));
+        }
     }
     w.end();
 
@@ -524,7 +527,8 @@ SmtCore::restoreState(CheckpointReader &r)
         InstSeqNum prev_seq = 0;
         for (std::uint32_t i = 0; i < n; ++i) {
             DynInst &inst = rob.create(tid);
-            restoreInst(r, inst, image->program, coreParams);
+            restoreInst(r, inst, rob.ckptOf(inst), image->program,
+                        coreParams);
             inst.tid = tid;
             if (inst.seq <= prev_seq)
                 r.fail(csprintf("thread %u ROB sequence numbers not "

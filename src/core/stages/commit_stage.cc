@@ -44,7 +44,8 @@ CommitStage::commitInst(DynInst &inst)
             ++st.stats.committedTaken;
         st.engine.commitCti(inst.tid, *inst.si, inst.oracleTaken,
                             inst.oracleNext, inst.wasBlockEnd,
-                            inst.mispredicted, inst.ckpt.ghist);
+                            inst.mispredicted,
+                            st.rob.ckptOf(inst).ghist);
     }
     if (inst.isLoad())
         ++st.stats.committedLoads;

@@ -23,10 +23,17 @@ Tlb::access(ThreadID tid, Addr vaddr)
     ++tlbStats.accesses;
     std::uint64_t vpn = vpnOf(vaddr);
 
+    std::uint32_t &hint = hints[hintSlot(tid, vpn)];
+    if (Entry &e = entries[hint]; matches(e, tid, vpn)) {
+        e.lru = ++lruClock;
+        return 0;
+    }
+
     Entry *victim = &entries[0];
     for (auto &e : entries) {
-        if (e.valid && e.tid == tid && e.vpn == vpn) {
+        if (matches(e, tid, vpn)) {
             e.lru = ++lruClock;
+            hint = static_cast<std::uint32_t>(&e - entries.data());
             return 0;
         }
         if (!e.valid)
@@ -40,6 +47,7 @@ Tlb::access(ThreadID tid, Addr vaddr)
     victim->tid = tid;
     victim->vpn = vpn;
     victim->lru = ++lruClock;
+    hint = static_cast<std::uint32_t>(victim - entries.data());
     return missPenalty;
 }
 
@@ -48,7 +56,7 @@ Tlb::wouldHit(ThreadID tid, Addr vaddr) const
 {
     std::uint64_t vpn = vpnOf(vaddr);
     for (const auto &e : entries)
-        if (e.valid && e.tid == tid && e.vpn == vpn)
+        if (matches(e, tid, vpn))
             return true;
     return false;
 }

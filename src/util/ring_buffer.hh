@@ -11,9 +11,13 @@
  * Unlike std::deque, pop_front/pop_back do NOT destroy the element:
  * the popped object stays constructed in its slot until a later push
  * overwrites it (emplace_back resets it to T{}). For payloads owning
- * resources (e.g. DynInst's shared_ptr RAS snapshots) this retains
- * the resource for up to capacity-many pushes — bounded, and the
- * price of keeping the pop hot path to an index move.
+ * resources this retains the resource for up to capacity-many pushes
+ * — bounded, and the price of keeping the pop hot path to an index
+ * move.
+ *
+ * Because slots are stable, an owner can keep side data for each
+ * element in an array of slotCount() entries indexed by slotOf(),
+ * as the ROB does for engine checkpoints.
  */
 
 #ifndef SMTFETCH_UTIL_RING_BUFFER_HH
@@ -88,6 +92,17 @@ class RingBuffer
         if (empty())
             panic("ring buffer back() on empty buffer");
         return slots[(head + count - 1) & mask];
+    }
+
+    /** Size of the slot array (capacity rounded up to a power of
+     *  two). */
+    std::size_t slotCount() const { return slots.size(); }
+
+    /** Slot index of a live element, in [0, slotCount()). */
+    std::size_t
+    slotOf(const T &elem) const
+    {
+        return static_cast<std::size_t>(&elem - slots.data());
     }
 
     /** Index-based access, 0 = oldest. */

@@ -4,11 +4,19 @@
  * merging, multi-level latencies and TLBs.
  */
 
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/tlb.hh"
+#include "sim/checkpoint.hh"
+#include "util/logging.hh"
+#include "util/random.hh"
 
 namespace smt
 {
@@ -184,6 +192,185 @@ TEST(TlbTest, StatsTrackMissRate)
     EXPECT_EQ(tlb.stats().accesses, 16u);
     EXPECT_EQ(tlb.stats().misses, 8u);
     EXPECT_DOUBLE_EQ(tlb.stats().missRate(), 0.5);
+}
+
+namespace
+{
+
+/**
+ * Reference TLB: the plain linear-scan lookup, with no hint table.
+ * Tlb must match it access for access, including the victim choice
+ * (first invalid entry from the end, else the oldest LRU stamp) and
+ * the checkpoint payload.
+ */
+struct RefTlb
+{
+    struct Entry
+    {
+        bool valid = false;
+        ThreadID tid = invalidThread;
+        std::uint64_t vpn = 0;
+        std::uint64_t lru = 0;
+    };
+
+    RefTlb(unsigned n, unsigned page, Cycle penalty)
+        : entries(n), pageBytes(page), missPenalty(penalty)
+    {
+    }
+
+    Cycle
+    access(ThreadID tid, Addr vaddr)
+    {
+        ++accesses;
+        std::uint64_t vpn = vaddr / pageBytes;
+        Entry *victim = &entries[0];
+        for (auto &e : entries) {
+            if (e.valid && e.tid == tid && e.vpn == vpn) {
+                e.lru = ++lruClock;
+                return 0;
+            }
+            if (!e.valid)
+                victim = &e;
+            else if (victim->valid && e.lru < victim->lru)
+                victim = &e;
+        }
+        ++misses;
+        *victim = Entry{true, tid, vpn, ++lruClock};
+        return missPenalty;
+    }
+
+    bool
+    wouldHit(ThreadID tid, Addr vaddr) const
+    {
+        for (const auto &e : entries)
+            if (e.valid && e.tid == tid && e.vpn == vaddr / pageBytes)
+                return true;
+        return false;
+    }
+
+    void
+    reset()
+    {
+        entries.assign(entries.size(), Entry{});
+        lruClock = accesses = misses = 0;
+    }
+
+    /** Same field order as Tlb::save. */
+    void
+    save(CheckpointWriter &w) const
+    {
+        w.u32(static_cast<std::uint32_t>(entries.size()));
+        w.u64(lruClock);
+        for (const Entry &e : entries) {
+            w.b(e.valid);
+            w.i16(e.tid);
+            w.u64(e.vpn);
+            w.u64(e.lru);
+        }
+        w.u64(accesses);
+        w.u64(misses);
+    }
+
+    std::vector<Entry> entries;
+    unsigned pageBytes;
+    Cycle missPenalty;
+    std::uint64_t lruClock = 0;
+    std::uint64_t accesses = 0;
+    std::uint64_t misses = 0;
+};
+
+template <typename T>
+std::string
+savedBytes(const T &tlb)
+{
+    std::ostringstream os(std::ios::binary);
+    CheckpointWriter w(os, "<tlb-test>", "k");
+    w.begin("tlb");
+    tlb.save(w);
+    w.end();
+    w.finish();
+    return std::move(os).str();
+}
+
+void
+restoreFromBytes(Tlb &tlb, const std::string &bytes)
+{
+    std::istringstream is(bytes, std::ios::binary);
+    CheckpointReader r(is, "<tlb-test>");
+    r.begin("tlb");
+    tlb.restore(r);
+    r.end();
+    r.finish();
+}
+
+} // namespace
+
+TEST(TlbTest, MatchesLinearScanReference)
+{
+    constexpr unsigned page = 8192;
+    constexpr Cycle penalty = 30;
+    for (unsigned size : {1u, 2u, 48u, 128u}) {
+        for (unsigned threads = 1; threads <= 4; ++threads) {
+            SCOPED_TRACE(csprintf("%u entries, %u threads", size,
+                                  threads));
+            Rng rng(size * 16 + threads);
+            // More pages than entries (every thread shares the same
+            // vpns), with a hot subset so that hits happen too.
+            const std::uint64_t pages = 2 * size + 3;
+            const std::uint64_t hot = size / 2 + 1;
+            auto tlb = std::make_unique<Tlb>("T", size, page, penalty);
+            RefTlb ref(size, page, penalty);
+            constexpr int steps = 6000;
+            for (int i = 0; i < steps; ++i) {
+                ThreadID tid =
+                    static_cast<ThreadID>(rng.below(threads));
+                std::uint64_t vpn = rng.chance(0.7) ? rng.below(hot)
+                                                    : rng.below(pages);
+                Addr vaddr = vpn * page + rng.below(page);
+                ASSERT_EQ(tlb->wouldHit(tid, vaddr),
+                          ref.wouldHit(tid, vaddr))
+                    << "step " << i;
+                ASSERT_EQ(tlb->access(tid, vaddr),
+                          ref.access(tid, vaddr))
+                    << "step " << i;
+
+                if (i == steps / 3) {
+                    // Restore into a fresh TLB (hints all zero) ...
+                    std::string bytes = savedBytes(*tlb);
+                    ASSERT_EQ(bytes, savedBytes(ref));
+                    tlb = std::make_unique<Tlb>("T", size, page,
+                                                penalty);
+                    restoreFromBytes(*tlb, bytes);
+                } else if (i == steps / 2) {
+                    // ... and into one whose hints describe another
+                    // stream's entries.
+                    std::string bytes = savedBytes(*tlb);
+                    auto other =
+                        std::make_unique<Tlb>("T", size, page, penalty);
+                    for (int k = 0; k < 500; ++k)
+                        other->access(
+                            static_cast<ThreadID>(rng.below(threads)),
+                            rng.below(pages) * page);
+                    restoreFromBytes(*other, bytes);
+                    tlb = std::move(other);
+                } else if (i == 2 * steps / 3) {
+                    tlb->reset();
+                    ref.reset();
+                }
+            }
+            EXPECT_EQ(tlb->stats().accesses, ref.accesses);
+            EXPECT_EQ(tlb->stats().misses, ref.misses);
+            EXPECT_GT(ref.misses, 0u);
+            EXPECT_LT(ref.misses, ref.accesses);
+            EXPECT_EQ(savedBytes(*tlb), savedBytes(ref));
+            for (unsigned t = 0; t < threads; ++t)
+                for (std::uint64_t v = 0; v < pages; ++v)
+                    EXPECT_EQ(tlb->wouldHit(static_cast<ThreadID>(t),
+                                            v * page),
+                              ref.wouldHit(static_cast<ThreadID>(t),
+                                           v * page));
+        }
+    }
 }
 
 } // namespace

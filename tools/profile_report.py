@@ -17,13 +17,16 @@ Return addresses are looked up at address - 1, the call instruction.
 Inclusive shares need a binary built with -fno-omit-frame-pointer.
 
 Usage:
-    python3 tools/profile_report.py smtprof.samples [--top N] [--inline]
+    python3 tools/profile_report.py smtprof.samples [--inline]
 """
 
 import argparse
 import collections
 import subprocess
 import sys
+
+# Rows printed per table.
+TOP = 30
 
 
 def read_samples(path):
@@ -83,10 +86,10 @@ def symbolize(exe, addrs):
     return {a: chains.get(a) or ["??"] for a in ordered}
 
 
-def table(title, counts, total, top):
+def table(title, counts, total):
     print(title)
     print("  %7s %6s  %s" % ("samples", "share", "function"))
-    for name, n in counts.most_common(top):
+    for name, n in counts.most_common(TOP):
         print("  %7d %5.1f%%  %s" % (n, 100.0 * n / total, name))
     print()
 
@@ -94,7 +97,6 @@ def table(title, counts, total, top):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("samples")
-    ap.add_argument("--top", type=int, default=30)
     ap.add_argument("--inline", action="store_true",
                     help="charge inlined functions, not their callers")
     args = ap.parse_args()
@@ -130,9 +132,8 @@ def main():
                 seen.update(names(a))
         inclusive.update(seen)
     total = len(chosen)
-    table("flat (function holding the sampled PC)", flat, total, args.top)
-    table("inclusive (function anywhere on the stack)", inclusive, total,
-          args.top)
+    table("flat (function holding the sampled PC)", flat, total)
+    table("inclusive (function anywhere on the stack)", inclusive, total)
     return 0
 
 

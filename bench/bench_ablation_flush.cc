@@ -20,7 +20,7 @@ ipcWith(const std::vector<ExperimentResult> &rs, const char *wl,
         unsigned n, unsigned x, LongLoadPolicy pol)
 {
     RunOverrides ov;
-    ov.longLoadPolicy = pol;
+    ov.set("longLoadPolicy", static_cast<unsigned>(pol));
     const auto *r = find(rs, wl, EngineKind::Stream, n, x,
                          PolicyKind::ICount, ov);
     if (r == nullptr)

@@ -23,7 +23,7 @@ main()
     TextTable t({"FTQ entries", "2_MIX IPC", "4_ILP IPC"});
     for (unsigned depth : {1u, 2u, 4u, 8u, 16u}) {
         RunOverrides ov;
-        ov.ftqEntries = depth;
+        ov.set("ftqEntries", depth);
         const auto *mix = find(sr.results, "2_MIX",
                                EngineKind::Stream, 1, 16,
                                PolicyKind::ICount, ov);

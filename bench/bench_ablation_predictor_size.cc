@@ -17,7 +17,7 @@ ipcAtShift(const std::vector<ExperimentResult> &rs, EngineKind engine,
            unsigned shift)
 {
     RunOverrides ov;
-    ov.predictorShift = shift;
+    ov.set("predictorShift", shift);
     const auto *r = find(rs, "4_MIX", engine, 1, 16,
                          PolicyKind::ICount, ov);
     if (r == nullptr)

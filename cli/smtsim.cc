@@ -137,7 +137,6 @@ listEngines(bool quiet)
             std::printf("%s\n", d.name);
         return;
     }
-    const EngineParams defaults{};
     for (const EngineDescriptor &d : reg.all()) {
         std::printf("%s\n    %s\n", d.name, d.description);
         if (!d.aliases.empty()) {
@@ -146,14 +145,14 @@ listEngines(bool quiet)
                 aliases += (aliases.empty() ? "" : ", ") + a;
             std::printf("    aliases: %s\n", aliases.c_str());
         }
-        for (const EngineParamSpec &p : d.params) {
+        for (const ParamSpec &p : d.params) {
             // Preset engines report defaults with their preset
             // applied (what a spec naming the engine actually gets).
-            EngineParams ep = defaults;
+            CoreParams core;
             if (d.preset != nullptr)
-                d.preset(ep);
+                d.preset(core.engineParams);
             std::printf("    %s=%llu  [%llu..%llu]  %s\n", p.key,
-                        (unsigned long long)p.get(ep),
+                        (unsigned long long)p.get(core),
                         (unsigned long long)p.minValue,
                         (unsigned long long)p.maxValue, p.help);
         }

@@ -8,53 +8,6 @@
 namespace smt
 {
 
-std::uint64_t
-EngineParamSpec::get(const EngineParams &p) const
-{
-    if (type == Type::Bool)
-        return (p.*boolField) ? 1 : 0;
-    return p.*uintField;
-}
-
-void
-EngineParamSpec::set(EngineParams &p, std::uint64_t value) const
-{
-    if (type == Type::Bool)
-        p.*boolField = value != 0;
-    else
-        p.*uintField = static_cast<unsigned>(value);
-}
-
-EngineParamSpec
-EngineParamSpec::uintSpec(const char *key, const char *help,
-                          unsigned EngineParams::*field,
-                          std::uint64_t min_value,
-                          std::uint64_t max_value)
-{
-    EngineParamSpec s;
-    s.key = key;
-    s.help = help;
-    s.type = Type::UInt;
-    s.uintField = field;
-    s.minValue = min_value;
-    s.maxValue = max_value;
-    return s;
-}
-
-EngineParamSpec
-EngineParamSpec::boolSpec(const char *key, const char *help,
-                          bool EngineParams::*field)
-{
-    EngineParamSpec s;
-    s.key = key;
-    s.help = help;
-    s.type = Type::Bool;
-    s.boolField = field;
-    s.minValue = 0;
-    s.maxValue = 1;
-    return s;
-}
-
 std::string
 normalizeEngineToken(const std::string &name)
 {
@@ -128,11 +81,11 @@ EngineRegistry::find(const std::string &name) const
     return nullptr;
 }
 
-const EngineParamSpec *
+const ParamSpec *
 EngineRegistry::findParam(const std::string &key) const
 {
     for (const EngineDescriptor &e : engines)
-        for (const EngineParamSpec &p : e.params)
+        for (const ParamSpec &p : e.params)
             if (key == p.key)
                 return &p;
     return nullptr;

@@ -32,53 +32,10 @@
 #include <vector>
 
 #include "bpred/fetch_engine.hh"
+#include "core/param_spec.hh"
 
 namespace smt
 {
-
-/**
- * One spec-settable engine parameter: a typed binding from an
- * override key (as used in JSON sweep specs and on the wire) to an
- * EngineParams member, with range validation.
- */
-struct EngineParamSpec
-{
-    enum class Type
-    {
-        UInt,
-        Bool,
-    };
-
-    const char *key = nullptr;
-    const char *help = nullptr;
-    Type type = Type::UInt;
-    unsigned EngineParams::*uintField = nullptr;
-    bool EngineParams::*boolField = nullptr;
-    std::uint64_t minValue = 0;
-    std::uint64_t maxValue = ~std::uint64_t{0};
-
-    /** Read the bound member (bools read as 0/1). */
-    std::uint64_t get(const EngineParams &p) const;
-
-    /** Write the bound member (no range check; see inRange). */
-    void set(EngineParams &p, std::uint64_t value) const;
-
-    bool
-    inRange(std::uint64_t value) const
-    {
-        return value >= minValue && value <= maxValue;
-    }
-
-    /** @name Terse spec constructors for registration functions. */
-    /// @{
-    static EngineParamSpec uintSpec(const char *key, const char *help,
-                                    unsigned EngineParams::*field,
-                                    std::uint64_t min_value,
-                                    std::uint64_t max_value);
-    static EngineParamSpec boolSpec(const char *key, const char *help,
-                                    bool EngineParams::*field);
-    /// @}
-};
 
 /** Everything the registry knows about one engine. */
 struct EngineDescriptor
@@ -103,8 +60,9 @@ struct EngineDescriptor
      *  adaptive presets); nullptr for plain engines. */
     void (*preset)(EngineParams &) = nullptr;
 
-    /** Spec-settable parameters relevant to this engine. */
-    std::vector<EngineParamSpec> params;
+    /** Spec-settable parameters relevant to this engine (rows of
+     *  the one override schema, core/param_spec.hh). */
+    std::vector<ParamSpec> params;
 };
 
 /** The singleton registry (built on first use, then immutable). */
@@ -126,7 +84,7 @@ class EngineRegistry
     const EngineDescriptor *find(const std::string &name) const;
 
     /** Resolve an engine-parameter override key; nullptr if unknown. */
-    const EngineParamSpec *findParam(const std::string &key) const;
+    const ParamSpec *findParam(const std::string &key) const;
 
     const std::vector<EngineDescriptor> &all() const
     {

@@ -781,9 +781,9 @@ makeEngine(EngineKind kind, const EngineParams &params)
 namespace
 {
 
-using PSpec = EngineParamSpec;
+using PSpec = ParamSpec;
 
-std::vector<EngineParamSpec>
+std::vector<ParamSpec>
 lineEngineParams()
 {
     return {
@@ -923,7 +923,7 @@ registerPresetEngines(EngineRegistry &reg)
         };
         d.preset = [](EngineParams &p) { p.perfectBp = true; };
         d.params = [] {
-            std::vector<EngineParamSpec> v = lineEngineParams();
+            std::vector<ParamSpec> v = lineEngineParams();
             v.push_back(PSpec::boolSpec(
                 "perfectBp",
                 "serve correct-path blocks from the trace oracle",
@@ -947,7 +947,7 @@ registerPresetEngines(EngineRegistry &reg)
         };
         d.preset = [](EngineParams &p) { p.perfectIcache = true; };
         d.params = [] {
-            std::vector<EngineParamSpec> v = lineEngineParams();
+            std::vector<ParamSpec> v = lineEngineParams();
             v.push_back(PSpec::boolSpec(
                 "perfectIcache",
                 "every I-cache access hits, no bank conflicts",
@@ -971,7 +971,7 @@ registerPresetEngines(EngineRegistry &reg)
         };
         d.preset = [](EngineParams &p) { p.adaptiveFetch = true; };
         d.params = [] {
-            std::vector<EngineParamSpec> v = lineEngineParams();
+            std::vector<ParamSpec> v = lineEngineParams();
             v.push_back(PSpec::boolSpec(
                 "adaptiveFetch",
                 "cap low-confidence blocks' fetch rate",

@@ -321,7 +321,7 @@ TagePredictor::restore(CheckpointReader &r)
 void
 registerTageEngine(EngineRegistry &reg)
 {
-    using PSpec = EngineParamSpec;
+    using PSpec = ParamSpec;
     EngineDescriptor d;
     d.kind = EngineKind::Tage;
     d.name = "tage";

@@ -52,14 +52,16 @@ void
 ExecUnit::completionsAt(
     Cycle now, std::vector<std::pair<ThreadID, InstSeqNum>> &out)
 {
+    // Swap the buffers out instead of copying them; `out`'s old
+    // storage becomes the cleared slot's capacity.
     auto &slot = wheel[now % wheelSize];
     if (!overflow.empty() && overflow.begin()->first == now) {
         auto first = overflow.begin();
-        out.assign(first->second.begin(), first->second.end());
+        out.swap(first->second);
         overflow.erase(first);
         out.insert(out.end(), slot.begin(), slot.end());
     } else {
-        out.assign(slot.begin(), slot.end());
+        out.swap(slot);
     }
     slot.clear();
 }

@@ -22,91 +22,120 @@ ExperimentResult::policyDotString() const
     return csprintf("%u.%u", fetchThreads, fetchWidth);
 }
 
-bool
-RunOverrides::any() const
+namespace
 {
-    return ftqEntries || fetchBufferSize || robEntries ||
-           longLoadPolicy || longLoadThreshold || predictorShift > 0 ||
-           !engineParams.empty();
+
+/** Core rows sort by table position; engine rows after all of them. */
+std::size_t
+rank(const ParamSpec *spec)
+{
+    const auto &core = coreParamSpecs();
+    std::size_t i = 0;
+    while (i < core.size() && &core[i] != spec)
+        ++i;
+    return i;
+}
+
+/** A core row, else an engine parameter; nullptr when unknown. */
+const ParamSpec *
+findParam(const std::string &key)
+{
+    for (const ParamSpec &spec : coreParamSpecs())
+        if (key == spec.key)
+            return &spec;
+    return EngineRegistry::instance().findParam(key);
+}
+
+std::string
+unknownKeyError(const std::string &key)
+{
+    std::string known;
+    for (const ParamSpec &spec : coreParamSpecs())
+        known += std::string(spec.key) + ", ";
+    return csprintf("unknown override \"%s\" (known: %sor any engine "
+                    "parameter listed by smtsim --list-engines)",
+                    key.c_str(), known.c_str());
+}
+
+} // namespace
+
+void
+RunOverrides::set(const ParamSpec &spec, std::uint64_t value)
+{
+    std::erase_if(entries,
+                  [&](const Entry &e) { return e.first == &spec; });
+    if (spec.rescales && value == 0)
+        return;
+    std::size_t r = rank(&spec);
+    auto pos = std::find_if(entries.begin(), entries.end(),
+                            [&](const Entry &e) {
+                                return rank(e.first) > r;
+                            });
+    entries.insert(pos, {&spec, value});
+}
+
+void
+RunOverrides::set(const std::string &key, std::uint64_t value)
+{
+    const ParamSpec *spec = findParam(key);
+    if (spec == nullptr)
+        fatal("%s", unknownKeyError(key).c_str());
+    if (!spec->inRange(value))
+        fatal("override %s value %llu out of range [%llu, %llu]",
+              key.c_str(), (unsigned long long)value,
+              (unsigned long long)spec->minValue,
+              (unsigned long long)spec->maxValue);
+    set(*spec, value);
+}
+
+bool
+RunOverrides::setJson(const std::string &key, const JsonValue &value,
+                      std::string &error)
+{
+    const ParamSpec *spec = findParam(key);
+    if (spec == nullptr) {
+        error = unknownKeyError(key);
+        return false;
+    }
+    std::uint64_t n = 0;
+    if (!spec->decode(value, n, error))
+        return false;
+    set(*spec, n);
+    return true;
+}
+
+std::optional<std::uint64_t>
+RunOverrides::get(const std::string &key) const
+{
+    for (const auto &[spec, value] : entries)
+        if (key == spec->key)
+            return value;
+    return std::nullopt;
 }
 
 void
 RunOverrides::apply(CoreParams &core) const
 {
-    if (ftqEntries)
-        core.ftqEntries = *ftqEntries;
-    if (fetchBufferSize)
-        core.fetchBufferSize = *fetchBufferSize;
-    if (robEntries)
-        core.robEntries = *robEntries;
-    if (longLoadPolicy)
-        core.longLoadPolicy = *longLoadPolicy;
-    if (longLoadThreshold)
-        core.longLoadThreshold = *longLoadThreshold;
-    for (const auto &[key, value] : engineParams) {
-        const EngineParamSpec *spec =
-            EngineRegistry::instance().findParam(key);
-        if (spec == nullptr)
-            fatal("unknown engine parameter '%s' (the spec layer "
-                  "validates these)",
-                  key.c_str());
-        spec->set(core.engineParams, value);
-    }
-    if (predictorShift > 0) {
-        auto &ep = core.engineParams;
-        ep.gshareEntries >>= predictorShift;
-        ep.gskewEntriesPerBank >>= predictorShift;
-        ep.btbEntries >>= predictorShift;
-        ep.ftbEntries >>= predictorShift;
-        ep.streamL1Entries >>= predictorShift;
-        ep.streamL2Entries >>= predictorShift;
-    }
+    for (bool last : {false, true})
+        for (const auto &[spec, value] : entries)
+            if (spec->rescales == last)
+                spec->set(core, value);
 }
 
 std::string
 RunOverrides::describe() const
 {
     std::string s;
-    auto add = [&s](const std::string &part) {
-        s += (s.empty() ? "" : " ") + part;
-    };
-    if (ftqEntries)
-        add(csprintf("ftq=%u", *ftqEntries));
-    if (fetchBufferSize)
-        add(csprintf("fbuf=%u", *fetchBufferSize));
-    if (robEntries)
-        add(csprintf("rob=%u", *robEntries));
-    if (longLoadPolicy)
-        add(csprintf("llp=%s", longLoadPolicyName(*longLoadPolicy)));
-    if (longLoadThreshold)
-        add(csprintf("llthresh=%llu",
-                     (unsigned long long)*longLoadThreshold));
-    if (predictorShift > 0)
-        add(csprintf("predshift=%u", predictorShift));
-    for (const auto &[key, value] : engineParams)
-        add(csprintf("%s=%llu", key.c_str(),
-                     (unsigned long long)value));
+    for (const auto &[spec, value] : entries)
+        s += (s.empty() ? "" : " ") + spec->describe(value);
     return s;
 }
 
 void
 RunOverrides::writeJson(JsonWriter &jw) const
 {
-    if (ftqEntries)
-        jw.field("ftqEntries", *ftqEntries);
-    if (fetchBufferSize)
-        jw.field("fetchBufferSize", *fetchBufferSize);
-    if (robEntries)
-        jw.field("robEntries", *robEntries);
-    if (longLoadPolicy)
-        jw.field("longLoadPolicy",
-                 longLoadPolicyName(*longLoadPolicy));
-    if (longLoadThreshold)
-        jw.field("longLoadThreshold", *longLoadThreshold);
-    if (predictorShift > 0)
-        jw.field("predictorShift", predictorShift);
-    for (const auto &[key, value] : engineParams)
-        jw.field(key, value);
+    for (const auto &[spec, value] : entries)
+        spec->writeJson(jw, value);
 }
 
 unsigned

@@ -18,54 +18,70 @@
 #include <string>
 #include <vector>
 
+#include "core/param_spec.hh"
 #include "core/sim_stats.hh"
 #include "sim/sim_config.hh"
 
 namespace smt
 {
 
+class JsonValue;
 class JsonWriter;
 
 /**
  * Optional per-run deviations from the Table 3 baseline, used by the
  * ablation sweeps (FTQ depth, predictor budget, long-latency-load
- * policy) and by spec-driven grids.
+ * policy) and by spec-driven grids: one ordered list of (row, value)
+ * pairs over the override schema (core/param_spec.hh). Every consumer
+ * (spec parsing, apply, describe, the BENCH-record echo and the
+ * journal codec) walks the list and names no key.
  */
 struct RunOverrides
 {
-    std::optional<unsigned> ftqEntries;
-    std::optional<unsigned> fetchBufferSize;
-    std::optional<unsigned> robEntries;
-    std::optional<LongLoadPolicy> longLoadPolicy;
-    std::optional<Cycle> longLoadThreshold;
+    using Entry = std::pair<const ParamSpec *, std::uint64_t>;
 
     /**
-     * Right-shift applied to every predictor table size (the Table 3
-     * ~45KB budget halves per step; the A2 ablation sweep).
+     * Canonical order, independent of the order values were set in:
+     * core rows in table order, then engine parameters in the order
+     * they were set. describe() and the JSON echo follow it.
      */
-    unsigned predictorShift = 0;
-
-    /**
-     * Engine-parameter overrides resolved through the engine
-     * registry's schemas (EngineRegistry::findParam): ordered
-     * (spec key, value) pairs applied to EngineParams after the
-     * structural overrides, before predictorShift. Booleans are
-     * carried as 0/1.
-     */
-    std::vector<std::pair<std::string, std::uint64_t>> engineParams;
+    std::vector<Entry> entries;
 
     bool operator==(const RunOverrides &o) const = default;
 
-    /** True when any field deviates from the baseline. */
-    bool any() const;
+    /** True when any knob deviates from the baseline. */
+    bool any() const { return !entries.empty(); }
 
-    /** Apply the overrides to a core configuration. */
+    /** Set or replace a row's value; zero clears a rescaling row. */
+    void set(const ParamSpec &spec, std::uint64_t value);
+
+    /** Set by key for code-built overrides; fatal() on an unknown key
+     *  or an out-of-range value. */
+    void set(const std::string &key, std::uint64_t value);
+
+    /**
+     * Decode and set one spec/journal JSON member. The key resolves
+     * to a core row, else to an engine parameter from the registry.
+     * Returns false with `error` set on an unknown key (the message
+     * names every accepted key) or a type/range violation.
+     */
+    bool setJson(const std::string &key, const JsonValue &value,
+                 std::string &error);
+
+    /** The value set for `key`, if any. */
+    std::optional<std::uint64_t> get(const std::string &key) const;
+
+    /**
+     * Apply the overrides to a core configuration: every row in list
+     * order, then the rescaling rows (predictorShift shifts the
+     * engine table sizes the other rows set).
+     */
     void apply(CoreParams &core) const;
 
     /** Compact "ftq=4 llp=stall" rendering; empty when default. */
     std::string describe() const;
 
-    /** Emit the non-default fields as JSON object members. */
+    /** Emit the overridden knobs as JSON object members. */
     void writeJson(JsonWriter &jw) const;
 };
 

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "bpred/engine_registry.hh"
 #include "sim/sweep_spec.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -68,35 +67,9 @@ overridesFromWire(const JsonValue &doc)
                            doc.kindName()));
     RunOverrides o;
     for (const auto &[key, value] : doc.asObject()) {
-        if (key == "ftqEntries") {
-            o.ftqEntries = static_cast<unsigned>(value.asUInt64());
-        } else if (key == "fetchBufferSize") {
-            o.fetchBufferSize =
-                static_cast<unsigned>(value.asUInt64());
-        } else if (key == "robEntries") {
-            o.robEntries = static_cast<unsigned>(value.asUInt64());
-        } else if (key == "longLoadPolicy") {
-            o.longLoadPolicy =
-                longLoadPolicyFromString(value.asString());
-        } else if (key == "longLoadThreshold") {
-            o.longLoadThreshold = value.asUInt64();
-        } else if (key == "predictorShift") {
-            o.predictorShift =
-                static_cast<unsigned>(value.asUInt64());
-        } else if (const EngineParamSpec *ps =
-                       EngineRegistry::instance().findParam(key);
-                   ps != nullptr) {
-            std::uint64_t n = value.asUInt64();
-            if (!ps->inRange(n))
-                codecFail(csprintf("engine parameter \"%s\" value "
-                                   "%llu out of range",
-                                   key.c_str(),
-                                   (unsigned long long)n));
-            o.engineParams.emplace_back(key, n);
-        } else {
-            codecFail(csprintf("unknown override \"%s\"",
-                               key.c_str()));
-        }
+        std::string error;
+        if (!o.setJson(key, value, error))
+            codecFail(error);
     }
     return o;
 }

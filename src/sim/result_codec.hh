@@ -2,7 +2,7 @@
  * @file
  * JSON codec for per-point results: the on-disk format of the
  * completed-point journal (sim/journal.hh) that `smtsim
- * --checkpoint-dir` resumes from and tools/merge_bench.py merges.
+ * --checkpoint-dir` resumes from and rebuilds its BENCH record from.
  * Round trips are lossless — `statsJson` travels as an escaped JSON
  * string member, and ipfc/ipc render through the same "%.17g" path as
  * the BENCH records, so a result that went through the codec still

@@ -59,18 +59,6 @@ uintValue(const JsonValue &v, const std::string &context,
     }
 }
 
-/** uintValue additionally bounded to 32 bits (no silent wrap). */
-unsigned
-uint32Value(const JsonValue &v, const std::string &context,
-            const char *what)
-{
-    std::uint64_t value = uintValue(v, context, what);
-    if (value > 0xffffffffull)
-        specFail(context, csprintf("%s is out of range: %llu", what,
-                                   (unsigned long long)value));
-    return static_cast<unsigned>(value);
-}
-
 const std::string &
 stringValue(const JsonValue &v, const std::string &context,
             const char *what)
@@ -181,76 +169,9 @@ parseOverrides(const JsonValue &obj, const std::string &context)
         std::vector<RunOverrides> next;
         for (const JsonValue *v : scalarOrArray(value)) {
             for (RunOverrides ov : combos) {
-                if (key == "ftqEntries") {
-                    unsigned n =
-                        uint32Value(*v, context, "ftqEntries");
-                    if (n == 0)
-                        specFail(context, "ftqEntries must be at "
-                                          "least 1");
-                    ov.ftqEntries = n;
-                } else if (key == "fetchBufferSize") {
-                    unsigned n =
-                        uint32Value(*v, context, "fetchBufferSize");
-                    if (n == 0)
-                        specFail(context, "fetchBufferSize must be "
-                                          "at least 1");
-                    ov.fetchBufferSize = n;
-                } else if (key == "robEntries") {
-                    unsigned n =
-                        uint32Value(*v, context, "robEntries");
-                    if (n < 8)
-                        specFail(context, "robEntries must be at "
-                                          "least 8");
-                    ov.robEntries = n;
-                } else if (key == "longLoadPolicy") {
-                    ov.longLoadPolicy = longLoadPolicyFromString(
-                        stringValue(*v, context, "longLoadPolicy"));
-                } else if (key == "longLoadThreshold") {
-                    ov.longLoadThreshold =
-                        uintValue(*v, context, "longLoadThreshold");
-                } else if (key == "predictorShift") {
-                    std::uint64_t shift =
-                        uintValue(*v, context, "predictorShift");
-                    // Beyond 6 the smallest Table 3 structure
-                    // (streamL1Entries = 1024, 4-way) shrinks below
-                    // a usable geometry and the run aborts.
-                    if (shift > 6)
-                        specFail(context, "predictorShift must be "
-                                          "at most 6 (larger shifts "
-                                          "shrink predictor tables "
-                                          "below usable sizes)");
-                    ov.predictorShift =
-                        static_cast<unsigned>(shift);
-                } else if (const EngineParamSpec *ps =
-                               EngineRegistry::instance().findParam(
-                                   key);
-                           ps != nullptr) {
-                    // Engine parameters resolve through the registry
-                    // schemas; values apply via RunOverrides.
-                    std::uint64_t n =
-                        uintValue(*v, context, key.c_str());
-                    if (!ps->inRange(n))
-                        specFail(
-                            context,
-                            csprintf("engine parameter \"%s\" value "
-                                     "%llu out of range [%llu, %llu]",
-                                     key.c_str(),
-                                     (unsigned long long)n,
-                                     (unsigned long long)ps->minValue,
-                                     (unsigned long long)
-                                         ps->maxValue));
-                    ov.engineParams.emplace_back(key, n);
-                } else {
-                    specFail(
-                        context,
-                        csprintf("unknown override \"%s\" (known: "
-                                 "ftqEntries, fetchBufferSize, "
-                                 "robEntries, longLoadPolicy, "
-                                 "longLoadThreshold, predictorShift, "
-                                 "or any engine parameter listed by "
-                                 "smtsim --list-engines)",
-                                 key.c_str()));
-                }
+                std::string error;
+                if (!ov.setJson(key, *v, error))
+                    specFail(context, error);
                 next.push_back(ov);
             }
         }
@@ -406,13 +327,14 @@ parseSweepBlock(const JsonValue &v, const std::string &context)
     unsigned max_width = 0;
     for (auto [n, x] : block.policies)
         max_width = std::max(max_width, x);
-    for (const auto &ov : block.overrides) {
-        if (ov.fetchBufferSize && *ov.fetchBufferSize < max_width)
-            specFail(context,
-                     csprintf("fetchBufferSize %u is smaller than "
-                              "the widest fetch policy (%u)",
-                              *ov.fetchBufferSize, max_width));
-    }
+    for (const auto &ov : block.overrides)
+        for (const auto &[spec, value] : ov.entries)
+            if (spec->coversFetchWidth && value < max_width)
+                specFail(context,
+                         csprintf("%s %llu is smaller than the widest "
+                                  "fetch policy (%u)",
+                                  spec->key, (unsigned long long)value,
+                                  max_width));
     return block;
 }
 

@@ -166,11 +166,11 @@ TEST(EngineZoo, EngineParamOverridesFlowThroughSpec)
     })");
     auto points = spec.expand();
     ASSERT_EQ(points.size(), 2u);
-    ASSERT_EQ(points[0].overrides.engineParams.size(), 1u);
-    EXPECT_EQ(points[0].overrides.engineParams[0].first,
-              "tageTables");
-    EXPECT_EQ(points[0].overrides.engineParams[0].second, 2u);
-    EXPECT_EQ(points[1].overrides.engineParams[0].second, 8u);
+    ASSERT_EQ(points[0].overrides.entries.size(), 1u);
+    EXPECT_STREQ(points[0].overrides.entries[0].first->key,
+                 "tageTables");
+    EXPECT_EQ(points[0].overrides.entries[0].second, 2u);
+    EXPECT_EQ(points[1].overrides.entries[0].second, 8u);
     EXPECT_NE(points[0].overrides.describe().find("tageTables=2"),
               std::string::npos);
 
@@ -217,11 +217,11 @@ TEST(EngineZoo, AdaptiveAndOracleParamsAreBoolPresets)
          {Expect{EngineKind::PerfectBp, "perfectBp"},
           Expect{EngineKind::PerfectL1i, "perfectIcache"},
           Expect{EngineKind::Adaptive, "adaptiveFetch"}}) {
-        const EngineParamSpec *spec = reg.findParam(flag);
+        const ParamSpec *spec = reg.findParam(flag);
         ASSERT_NE(spec, nullptr) << flag;
-        EngineParams p;
+        CoreParams p;
         EXPECT_EQ(spec->get(p), 0u) << flag;
-        applyEnginePreset(kind, p);
+        applyEnginePreset(kind, p.engineParams);
         EXPECT_EQ(spec->get(p), 1u) << flag;
     }
 }

@@ -9,6 +9,7 @@
  * different sweep.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -21,7 +22,9 @@
 #include "sim/executor.hh"
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
+#include "bpred/engine_registry.hh"
 #include "sim/result_codec.hh"
+#include "sim/sweep_spec.hh"
 #include "util/json.hh"
 
 using namespace smt;
@@ -159,6 +162,131 @@ TEST(ResultCodec, SweepRequestKeyTracksRequestIdentity)
     other = req;
     other.points[2].fetchWidth = 4;
     EXPECT_NE(sweepRequestKey(other), key);
+}
+
+/** The overrides a one-point spec with this overrides object
+ *  expands to. */
+RunOverrides
+specOverrides(const std::string &overrides_json)
+{
+    auto points = SweepSpec::fromString(
+                      R"({"name": "rt", "workloads": ["2_ILP"],
+                          "policies": ["1.8"], "overrides": )" +
+                      overrides_json + "}")
+                      .expand();
+    EXPECT_EQ(points.size(), 3u); // the paper engine trio
+    return points.at(0).overrides;
+}
+
+/** A result's BENCH-record rendering, parsed back. */
+JsonValue
+recordOf(const ExperimentResult &r)
+{
+    std::ostringstream os;
+    {
+        JsonWriter jw(os, 2);
+        writeResultJson(jw, r);
+    }
+    return jsonParse(os.str());
+}
+
+TEST(ResultCodec, EveryOverrideKeyRoundTrips)
+{
+    std::vector<const ParamSpec *> rows;
+    for (const ParamSpec &spec : coreParamSpecs())
+        rows.push_back(&spec);
+    for (const EngineDescriptor &d : EngineRegistry::instance().all())
+        for (const ParamSpec &spec : d.params)
+            rows.push_back(&spec);
+
+    for (const ParamSpec *spec : rows) {
+        SCOPED_TRACE(spec->key);
+        // A value that is set (not a rescaling row's zero), in range, and
+        // covers the 1.8 policy's fetch width.
+        std::uint64_t value = std::clamp<std::uint64_t>(
+            8, std::max<std::uint64_t>(spec->minValue, 1),
+            spec->maxValue);
+        std::string json_value = std::to_string(value);
+        if (spec->type == ParamSpec::Type::Enum) {
+            value = spec->enumNames.size() - 1;
+            json_value =
+                "\"" + std::string(spec->enumNames[value]) + "\"";
+        }
+
+        // 1. Spec parse.
+        RunOverrides parsed = specOverrides(
+            "{\"" + std::string(spec->key) + "\": " + json_value + "}");
+        ASSERT_EQ(parsed.entries.size(), 1u);
+        EXPECT_EQ(parsed.get(spec->key), value);
+        std::string variant = parsed.describe();
+        EXPECT_EQ(variant, spec->describe(value));
+
+        // 2. The BENCH-record echo: the variant, and an overrides
+        //    object that parses back as a spec to the same overrides.
+        ExperimentResult r;
+        r.workload = "2_ILP";
+        r.overrides = parsed;
+        JsonValue record = recordOf(r);
+        EXPECT_EQ(record.find("variant")->asString(), variant);
+        EXPECT_EQ(specOverrides(record.find("overrides")->dump()),
+                  parsed);
+
+        // 3-4. The journal codec.
+        ExperimentResult back =
+            resultFromWireJson(jsonParse(resultToWireJson(r)));
+        EXPECT_EQ(back.overrides, parsed);
+        EXPECT_EQ(back.overrides.describe(), variant);
+    }
+}
+
+TEST(ResultCodec, PredictorShiftPrintsBeforeAndAppliesAfterEngineKeys)
+{
+    RunOverrides ov = specOverrides(
+        R"({"gshareEntries": 32768, "predictorShift": 1})");
+    EXPECT_EQ(ov.describe(), "predshift=1 gshareEntries=32768");
+    CoreParams core;
+    ov.apply(core);
+    EXPECT_EQ(core.engineParams.gshareEntries, 16384u);
+
+    // A zero shift is the baseline: no entry, no variant.
+    EXPECT_FALSE(specOverrides(R"({"predictorShift": 0})").any());
+    // A baseline-valued enum is still an override.
+    EXPECT_EQ(specOverrides(R"({"longLoadPolicy": "none"})").describe(),
+              "llp=none");
+}
+
+TEST(ResultCodec, WireRejectsWhatTheSpecParserRejects)
+{
+    ExperimentResult r;
+    r.workload = "2_ILP";
+    r.overrides = specOverrides(R"({"ftqEntries": 4})");
+    std::string wire = resultToWireJson(r);
+    auto expectCodecError = [&](const std::string &from,
+                                const std::string &to,
+                                const std::string &fragment) {
+        std::string bad = wire;
+        std::size_t at = bad.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        bad.replace(at, from.size(), to);
+        try {
+            resultFromWireJson(jsonParse(bad));
+            FAIL() << "expected CodecError for " << to;
+        } catch (const CodecError &e) {
+            EXPECT_NE(std::string(e.what()).find(fragment),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expectCodecError("\"ftqEntries\":4", "\"ftqEntries\":0",
+                     "ftqEntries must be at least 1");
+    expectCodecError("\"ftqEntries\":4", "\"predictorShift\":7",
+                     "predictorShift must be at most 6");
+    expectCodecError("\"ftqEntries\":4", "\"tageTagBits\":99",
+                     "out of range");
+    expectCodecError("\"ftqEntries\":4", "\"longLoadPolicy\":\"drain\"",
+                     "unknown longLoadPolicy \"drain\"");
+    expectCodecError("\"ftqEntries\":4", "\"cacheWays\":4",
+                     "unknown override \"cacheWays\"");
 }
 
 // ---------------------------------------------------------------------

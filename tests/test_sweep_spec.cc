@@ -161,17 +161,21 @@ TEST(SweepSpec, OverridesExpandAsCrossProduct)
     ASSERT_EQ(points.size(), 4u);
 
     // longLoadPolicy (parsed second) varies slower than ftqEntries.
-    EXPECT_EQ(*points[0].overrides.ftqEntries, 1u);
-    EXPECT_EQ(*points[0].overrides.longLoadPolicy,
+    EXPECT_EQ(*points[0].overrides.get("ftqEntries"), 1u);
+    EXPECT_EQ(static_cast<LongLoadPolicy>(
+                  *points[0].overrides.get("longLoadPolicy")),
               LongLoadPolicy::Stall);
-    EXPECT_EQ(*points[1].overrides.ftqEntries, 2u);
-    EXPECT_EQ(*points[1].overrides.longLoadPolicy,
+    EXPECT_EQ(*points[1].overrides.get("ftqEntries"), 2u);
+    EXPECT_EQ(static_cast<LongLoadPolicy>(
+                  *points[1].overrides.get("longLoadPolicy")),
               LongLoadPolicy::Stall);
-    EXPECT_EQ(*points[2].overrides.ftqEntries, 1u);
-    EXPECT_EQ(*points[2].overrides.longLoadPolicy,
+    EXPECT_EQ(*points[2].overrides.get("ftqEntries"), 1u);
+    EXPECT_EQ(static_cast<LongLoadPolicy>(
+                  *points[2].overrides.get("longLoadPolicy")),
               LongLoadPolicy::Flush);
-    EXPECT_EQ(*points[3].overrides.ftqEntries, 2u);
-    EXPECT_EQ(*points[3].overrides.longLoadPolicy,
+    EXPECT_EQ(*points[3].overrides.get("ftqEntries"), 2u);
+    EXPECT_EQ(static_cast<LongLoadPolicy>(
+                  *points[3].overrides.get("longLoadPolicy")),
               LongLoadPolicy::Flush);
 
     for (const auto &p : points) {
@@ -371,6 +375,28 @@ TEST(SweepSpec, SchemaErrorsAreActionable)
     expectSpecError(
         [] { SweepSpec::fromFile("/nonexistent/spec.json"); },
         "cannot open");
+}
+
+TEST(SweepSpec, UnknownOverrideErrorListsEveryTableKey)
+{
+    // The key list is generated from the override table, so it
+    // cannot drift from what the parser accepts.
+    try {
+        SweepSpec::fromString(R"({"name": "x",
+            "workloads": ["2_MIX"], "policies": ["1.8"],
+            "overrides": {"cacheWays": 4}})");
+        FAIL() << "expected SpecError";
+    } catch (const SpecError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("unknown override \"cacheWays\""),
+                  std::string::npos)
+            << msg;
+        for (const ParamSpec &spec : coreParamSpecs())
+            EXPECT_NE(msg.find(spec.key), std::string::npos)
+                << spec.key << " missing from: " << msg;
+        EXPECT_NE(msg.find("smtsim --list-engines"), std::string::npos)
+            << msg;
+    }
 }
 
 TEST(SweepSpec, CycleSkipKeyParsesAndReachesTheRunner)
